@@ -54,7 +54,10 @@ AStarResult parallel_astar(const Graph& graph, VertexId source,
   const EquirectangularHeuristic h(graph, target, weight_scale);
   DistanceArray g_val(graph.num_vertices());
   g_val.store(source, 0);
-  std::atomic<std::uint64_t> best_target{DistanceArray::kUnreached};
+  // A source that is its own target is answered at distance 0; the
+  // seed is then pruned like any task that cannot beat the incumbent.
+  std::atomic<std::uint64_t> best_target{
+      source == target ? 0 : DistanceArray::kUnreached};
 
   const Task seed{h(source), source};
   RunResult run = run_parallel(

@@ -7,6 +7,7 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
+#include "tuning/auto_select.h"
 
 namespace smq {
 
@@ -22,9 +23,14 @@ inline void print_registry_listing(std::ostream& os) {
   os << "schedulers:\n";
   // The pseudo-scheduler first: not a registry entry (it resolves to
   // one), but it is a valid --sched value and must be discoverable.
-  os << "  auto - pick the preset the tuning metrics table measured best "
-        "for this\n         (graph class, algorithm, threads) — see smq_tune "
-        "and data/tuning/\n";
+  os << "  auto - the preset measured best for this (graph class, "
+        "algorithm, threads);\n         '"
+     << tuning::kDefaultPreset << "' for every key without a row:\n";
+  for (const tuning::AutoRow& row : tuning::auto_rows()) {
+    os << "      " << tuning::to_string(row.cls) << '/' << row.algorithm
+       << " from " << row.min_threads << "t -> " << row.preset << ": "
+       << row.measured << "\n";
+  }
   for (const SchedulerEntry& e : SchedulerRegistry::instance().entries()) {
     os << "  " << e.name;
     if (e.max_threads == 1) os << " [single-threaded]";

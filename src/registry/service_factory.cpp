@@ -7,6 +7,7 @@
 #include "registry/any_scheduler.h"
 #include "registry/scheduler_registry.h"
 #include "service/scheduler_service.h"
+#include "tuning/auto_select.h"
 
 namespace smq {
 
@@ -34,15 +35,12 @@ std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
-                                           ServiceOptions opts,
-                                           tuning::AutoSelection* selection) {
+                                           ServiceOptions opts) {
   std::string resolved(sched_name);
   if (sched_name == tuning::kAutoSchedulerName) {
-    tuning::AutoSelection sel = tuning::select_scheduler(
-        graph, service_auto_algorithm(graph), threads == 0 ? 1 : threads,
-        params.get("tuning-table", ""));
-    resolved = sel.preset;
-    if (selection != nullptr) *selection = std::move(sel);
+    resolved =
+        tuning::select_scheduler(graph, service_auto_algorithm(graph), threads)
+            .preset;
   }
   const unsigned workers = service_effective_threads(resolved, threads);
   opts.weight_scale = graph.weight_scale;

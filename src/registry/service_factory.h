@@ -12,7 +12,6 @@
 #include "registry/graph_registry.h"
 #include "registry/params.h"
 #include "service/query.h"
-#include "tuning/auto_select.h"
 
 namespace smq {
 
@@ -26,20 +25,17 @@ std::string_view service_auto_algorithm(const GraphInstance& graph);
 /// (effective_threads), the heuristic scale comes from the graph
 /// instance, and `params` reaches the scheduler factory untouched —
 /// presets resolve exactly as in a sweep. "auto" resolves through the
-/// tuning metrics table first (service_auto_algorithm picks the tuned
-/// algorithm; `selection`, when non-null, receives the provenance).
+/// compiled-in auto rows first, keyed on service_auto_algorithm.
 /// Throws std::invalid_argument on an unknown scheduler.
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
-                                           ServiceOptions opts = {},
-                                           tuning::AutoSelection* selection = nullptr);
+                                           ServiceOptions opts = {});
 
 /// The worker count make_service will actually run with. For "auto"
-/// this is the requested count (every preset family the table can name
-/// is thread-capable; the resolved entry still clamps inside
-/// make_service).
+/// this is the requested count (every preset an auto row can name is
+/// thread-capable; the resolved entry still clamps inside make_service).
 unsigned service_effective_threads(std::string_view sched_name,
                                    unsigned requested);
 

@@ -24,7 +24,7 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
     const double speedup = ref != nullptr && row.result.run.seconds > 0
                                ? ref->seconds / row.result.run.seconds
                                : 0;
-    // Auto rows show the preset the table resolved, not just "auto" —
+    // Auto rows show the preset they resolved to, not just "auto" —
     // the chosen config must be readable off the table.
     const std::string label =
         row.auto_selected ? row.label + ":" + row.scheduler : row.label;

@@ -41,10 +41,10 @@ struct SweepRow {
   AlgoResult result;
   int reps = 1;
   // `--sched auto` provenance: the row ran `scheduler` because the
-  // tuning table picked it (label stays "auto"); match kind and the
+  // auto rows picked it (label stays "auto"); match kind and the
   // resolver's explanation are surfaced in the table and JSON.
   bool auto_selected = false;
-  std::string auto_match;  // "exact" | "nearest-threads" | ...
+  std::string auto_match;  // "exact" | "default"
   std::string auto_why;
 };
 

@@ -91,7 +91,7 @@ struct ServiceRow {
   bool valid = true;
   double speedup_vs_seq = 0;
   int reps = 1;
-  // `--sched auto` provenance: the preset the tuning table resolved
+  // `--sched auto` provenance: the preset the auto rows resolved
   // (scheduler stays "auto"), its match kind, and the explanation.
   std::string preset;
   std::string auto_match;

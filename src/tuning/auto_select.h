@@ -1,50 +1,63 @@
 // `--sched auto`: resolve a (graph, algorithm, threads) workload to a
-// registered preset via the tuning metrics table.
+// registered preset through a handful of compiled-in measured rows.
 //
-// This is the runtime half of the subsystem: fingerprint the graph,
-// load the table (file path, $SMQ_TUNING_TABLE, or the embedded copy),
-// and walk the nearest-neighbor lookup in metrics_table.h. The result
-// always names a preset the SchedulerRegistry can create, so callers
-// can feed it straight into virtual, batched, or static dispatch.
+// Each row says that on one graph class and algorithm, from
+// `min_threads` up, `preset` beat the paper's `smq` by more than the
+// spread of smq's own repetitions. Every key without such a row runs
+// `smq`. The result always names a preset the SchedulerRegistry can
+// create, so callers can feed it straight into virtual, batched, or
+// static dispatch.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "registry/graph_registry.h"
-#include "tuning/metrics_table.h"
+#include "tuning/fingerprint.h"
 
 namespace smq::tuning {
 
 /// The pseudo-scheduler name accepted by smq_run / make_service.
 inline constexpr std::string_view kAutoSchedulerName = "auto";
 
+/// The answer for every key no row covers: the paper's scheduler.
+inline constexpr std::string_view kDefaultPreset = "smq";
+
+struct AutoRow {
+  GraphClass cls;
+  std::string_view algorithm;
+  unsigned min_threads;
+  std::string_view preset;
+  std::string_view measured;  // provenance: graph, times, command
+};
+
+/// The compiled-in rows, sorted by (class, algorithm, min_threads).
+std::span<const AutoRow> auto_rows() noexcept;
+
+/// How a resolution was made: a row matched, or none did.
+enum class MatchKind { kExact, kDefault };
+
+std::string_view to_string(MatchKind kind) noexcept;
+
 struct AutoSelection {
   std::string preset;  // registered preset key, ready for create()
   MatchKind match = MatchKind::kDefault;
-  double confidence = 0;
-  std::string why;           // explanation surfaced in table/JSON output
-  std::string table_origin;  // table file path, or "embedded"
-  WorkloadFingerprint fingerprint;
+  GraphClass cls = GraphClass::kUniform;
+  std::string why;  // explanation surfaced in table/JSON output
 };
 
-/// Resolve `auto` for one workload. `table_path` empty means
-/// MetricsTable::default_path() (falling back to the embedded table
-/// when the file does not exist); a non-empty path must load or this
-/// throws. Unknown-preset rows are skipped via the scheduler registry.
-AutoSelection select_scheduler(const GraphInstance& graph,
-                               std::string_view algorithm, unsigned threads,
-                               const std::string& table_path = {});
+/// The (cls, algorithm) row with the largest min_threads <= threads;
+/// kDefaultPreset when there is none.
+AutoSelection select_scheduler(GraphClass cls, std::string_view algorithm,
+                               unsigned threads);
 
-/// Same lookup against an already-loaded table (tests, repeated
-/// per-thread-count resolution without re-reading the file).
-AutoSelection select_scheduler(const MetricsTable& table,
-                               std::string_view table_origin,
-                               const WorkloadFingerprint& fp,
+/// Classify `graph` (one O(V) degree pass) and look it up.
+AutoSelection select_scheduler(const GraphInstance& graph,
                                std::string_view algorithm, unsigned threads);
 
 /// One-line provenance note, printed by drivers before running:
-/// "auto: sssp @ 4t on road graph -> smq-p8 [exact] (...)".
+/// "auto: sssp @ 4t on road graph -> mq-opt-full [exact] — ...".
 std::string describe_selection(const AutoSelection& sel,
                                std::string_view algorithm, unsigned threads);
 

@@ -14,13 +14,6 @@ std::string_view to_string(GraphClass cls) noexcept {
   return "uniform";
 }
 
-std::optional<GraphClass> parse_graph_class(std::string_view name) noexcept {
-  if (name == "road") return GraphClass::kRoad;
-  if (name == "uniform") return GraphClass::kUniform;
-  if (name == "social") return GraphClass::kSocial;
-  return std::nullopt;
-}
-
 GraphClass classify_degrees(double avg_degree, std::uint64_t max_degree,
                             double degree_cv) noexcept {
   // Power-law tail: either a heavily skewed distribution or a hub far
@@ -41,10 +34,7 @@ GraphClass classify_degrees(double avg_degree, std::uint64_t max_degree,
 
 WorkloadFingerprint fingerprint_graph(const Graph& g) {
   WorkloadFingerprint fp;
-  fp.vertices = g.num_vertices();
-  fp.edges = g.num_edges();
-  fp.has_coordinates = !g.coordinates().empty();
-  if (fp.vertices == 0) return fp;
+  if (g.num_vertices() == 0) return fp;
 
   // Degree moments in one O(V) pass over the offsets array.
   double sum = 0.0, sum_sq = 0.0;
@@ -55,50 +45,14 @@ WorkloadFingerprint fingerprint_graph(const Graph& g) {
     sum_sq += d * d;
     max_deg = std::max<std::uint64_t>(max_deg, g.out_degree(v));
   }
-  const double n = static_cast<double>(fp.vertices);
+  const double n = static_cast<double>(g.num_vertices());
   const double mean = sum / n;
   const double variance = std::max(0.0, sum_sq / n - mean * mean);
   fp.avg_degree = mean;
   fp.max_degree = max_deg;
   fp.degree_cv = mean > 0 ? std::sqrt(variance) / mean : 0.0;
-
-  // Edge-weight range from a strided sample: enough probes to find the
-  // scale of the weights (the table only distinguishes unit / small-int
-  // / wide ranges) without touching every page of a mapped graph.
-  const auto adjacency = g.adjacency();
-  constexpr std::size_t kMaxProbes = 1u << 16;
-  const std::size_t stride = std::max<std::size_t>(1, adjacency.size() / kMaxProbes);
-  std::uint64_t max_w = 0;
-  for (std::size_t i = 0; i < adjacency.size(); i += stride) {
-    max_w = std::max<std::uint64_t>(max_w, adjacency[i].weight);
-  }
-  fp.max_weight = max_w;
-
   fp.cls = classify_degrees(fp.avg_degree, fp.max_degree, fp.degree_cv);
   return fp;
-}
-
-namespace {
-
-double log2_ratio(double a, double b) noexcept {
-  return std::abs(std::log2((a + 1.0) / (b + 1.0)));
-}
-
-}  // namespace
-
-double fingerprint_distance(const WorkloadFingerprint& a, GraphClass row_class,
-                            std::uint64_t row_vertices, double row_avg_degree,
-                            std::uint64_t row_max_weight) noexcept {
-  // A class mismatch costs more than any plausible size gap between two
-  // same-class graphs in the table, so same-class rows always win when
-  // one exists; the size terms then order rows within a class.
-  double d = (a.cls == row_class) ? 0.0 : 8.0;
-  d += 0.25 * log2_ratio(static_cast<double>(a.vertices),
-                         static_cast<double>(row_vertices));
-  d += 1.0 * log2_ratio(a.avg_degree, row_avg_degree);
-  d += 0.125 * log2_ratio(static_cast<double>(a.max_weight),
-                          static_cast<double>(row_max_weight));
-  return d;
 }
 
 }  // namespace smq::tuning

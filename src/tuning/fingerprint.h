@@ -1,16 +1,13 @@
-// Workload fingerprints: the lookup key of the tuning metrics table.
+// Workload fingerprints: the graph-class key of the `--sched auto` rows.
 //
 // The paper's winning scheduler config depends on graph class (road vs
 // social vs uniform-random), algorithm, and thread count. A fingerprint
-// condenses a Graph into the handful of scalars that predict that
-// choice — |V|, |E|, degree-distribution shape, and the edge-weight
-// range — plus a coarse GraphClass label derived from them. The table
-// keys rows on the class; the raw scalars drive the nearest-neighbor
-// fallback when no row matches exactly.
+// condenses a Graph's out-degree distribution into the three scalars
+// that separate those classes, plus the GraphClass label derived from
+// them.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 #include "graph/graph.h"
@@ -24,19 +21,13 @@ namespace smq::tuning {
 enum class GraphClass { kRoad, kUniform, kSocial };
 
 std::string_view to_string(GraphClass cls) noexcept;
-std::optional<GraphClass> parse_graph_class(std::string_view name) noexcept;
 
 struct WorkloadFingerprint {
-  std::uint64_t vertices = 0;
-  std::uint64_t edges = 0;
   double avg_degree = 0.0;
   std::uint64_t max_degree = 0;
   /// Coefficient of variation of out-degrees (stddev / mean): ~0 for
   /// lattices, <1 for Erdos-Renyi, >>1 for power-law graphs.
   double degree_cv = 0.0;
-  /// Largest edge weight seen in the (possibly sampled) scan.
-  std::uint64_t max_weight = 0;
-  bool has_coordinates = false;
   GraphClass cls = GraphClass::kUniform;
 };
 
@@ -45,17 +36,9 @@ struct WorkloadFingerprint {
 GraphClass classify_degrees(double avg_degree, std::uint64_t max_degree,
                             double degree_cv) noexcept;
 
-/// Compute the fingerprint. Degree statistics scan every vertex (the
-/// offsets array is O(V) and already resident); edge weights are
-/// sampled with a deterministic stride capped at ~64k probes so mapped
-/// multi-GB graphs don't page in their whole adjacency.
+/// Compute the fingerprint in one O(V) pass over the offsets array;
+/// the adjacency itself is never touched, so a mapped multi-GB graph
+/// does not page in.
 WorkloadFingerprint fingerprint_graph(const Graph& g);
-
-/// Log-scale distance between a live fingerprint and a recorded table
-/// row, used for the nearest-fingerprint fallback. Smaller is closer;
-/// a class mismatch dominates size differences by design.
-double fingerprint_distance(const WorkloadFingerprint& a, GraphClass row_class,
-                            std::uint64_t row_vertices, double row_avg_degree,
-                            std::uint64_t row_max_weight) noexcept;
 
 }  // namespace smq::tuning

@@ -5,6 +5,10 @@
 // oracle. No future preset can land unexecuted, because this suite
 // enumerates the registry listing rather than naming schedulers.
 //
+// The same registry listing must also survive degenerate inputs: a
+// single vertex, zero edges, a source with no out-edges, and all-equal
+// weights, on SSSP, BFS and A* at 1 and 4 threads.
+//
 // Also the static/virtual consistency self-check: every key with a
 // static-dispatch row must resolve to the same underlying config on
 // both paths. Presets share one param-resolution function
@@ -13,8 +17,11 @@
 // config-struct level.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/stealing_multiqueue.h"
 #include "queues/chunk_bag.h"
@@ -41,21 +48,18 @@ const GraphInstance& small_graph() {
   return *inst;
 }
 
-/// The acceptance matrix of this PR: the full registry listing x
-/// {sssp, bfs} x {1, 4} threads, every cell validated against the
-/// sequential oracle.
-TEST(PresetConformance, EveryRegisteredSchedulerSolvesSsspAndBfsExactly) {
-  const GraphInstance& inst = small_graph();
-  ASSERT_GE(SchedulerRegistry::instance().entries().size(), 45u)
-      << "the preset namespace shrank; did a registration go missing?";
-  for (const char* algo_name : {"sssp", "bfs"}) {
+/// The full registry listing x `algos` x {1, 4} threads on `inst`, every
+/// cell validated against the sequential oracle.
+void expect_every_key_solves(const GraphInstance& inst,
+                             std::initializer_list<const char*> algos) {
+  for (const char* algo_name : algos) {
     const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
     ASSERT_NE(algo, nullptr);
     const AlgoReference ref = algo->make_reference(inst, {});
     for (const SchedulerEntry& entry :
          SchedulerRegistry::instance().entries()) {
       for (const unsigned requested : {1u, 4u}) {
-        SCOPED_TRACE(std::string(algo_name) + "/" + entry.name +
+        SCOPED_TRACE(inst.name + "/" + algo_name + "/" + entry.name +
                      "/threads=" + std::to_string(requested));
         const unsigned threads = effective_threads(entry, requested);
         AnyScheduler sched = entry.make(threads, {});
@@ -65,6 +69,47 @@ TEST(PresetConformance, EveryRegisteredSchedulerSolvesSsspAndBfsExactly) {
         EXPECT_TRUE(result.valid) << entry.name << " failed the oracle";
       }
     }
+  }
+}
+
+TEST(PresetConformance, EveryRegisteredSchedulerSolvesSsspAndBfsExactly) {
+  ASSERT_GE(SchedulerRegistry::instance().entries().size(), 45u)
+      << "the preset namespace shrank; did a registration go missing?";
+  expect_every_key_solves(small_graph(), {"sssp", "bfs"});
+}
+
+GraphInstance instance_of(std::string name, VertexId n, std::vector<Edge> edges,
+                          VertexId target) {
+  GraphInstance inst;
+  inst.graph = std::make_shared<const Graph>(Graph::from_edges(n, std::move(edges)));
+  inst.name = std::move(name);
+  inst.default_target = target;
+  return inst;
+}
+
+/// The four degenerate inputs, each solved from vertex 0.
+TEST(PresetConformance, EveryRegisteredSchedulerSolvesDegenerateInputs) {
+  constexpr VertexId kN = 64;
+  // Edges lead into vertex 0 and around the other vertices, but none
+  // leave vertex 0.
+  std::vector<Edge> sink;
+  for (VertexId v = 1; v < kN; ++v) {
+    sink.push_back({v, 0, 3});
+    sink.push_back({v, static_cast<VertexId>(v % (kN - 1) + 1), 5});
+  }
+  // Many equal-length paths: every priority tie at once.
+  std::vector<Edge> equal;
+  for (VertexId v = 0; v < kN; ++v) {
+    for (const VertexId step : {1u, 7u, 13u}) {
+      equal.push_back({v, static_cast<VertexId>((v + step) % kN), 9});
+    }
+  }
+  for (const GraphInstance& inst :
+       {instance_of("single-vertex", 1, {}, 0),
+        instance_of("zero-edges", kN, {}, kN - 1),
+        instance_of("source-without-out-edges", kN, std::move(sink), kN - 1),
+        instance_of("all-equal-weights", kN, std::move(equal), kN / 2)}) {
+    expect_every_key_solves(inst, {"sssp", "bfs", "astar"});
   }
 }
 

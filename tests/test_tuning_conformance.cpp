@@ -1,171 +1,146 @@
-// Tuning-table conformance (ISSUE satellite): every preset key the
-// checked-in table (data/tuning/metrics_table.json) or the embedded
-// fallback names must exist in the scheduler registry, every row's
-// algorithm must be registered and runnable at the row's thread count,
-// and the two copies must stay in sync. Mirrors
-// test_preset_conformance.cpp: no table row can name a configuration
-// this binary cannot execute.
-//
-// Also the `--sched auto` acceptance path: resolution returns a
-// registered preset that matches the sequential oracle at 1 and 4
-// threads.
+// Conformance of the compiled-in `--sched auto` rows: keys are unique,
+// every row names a registered algorithm and a registered preset that
+// runs oracle-valid at the row's min_threads, the lookup rule picks the
+// largest min_threads <= threads and falls back to smq, and `auto`
+// itself is oracle-valid at 1 and 4 threads on each graph class.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cstddef>
+#include <map>
 #include <string>
-#include <utility>
+#include <tuple>
 
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
 #include "tuning/auto_select.h"
 #include "tuning/fingerprint.h"
-#include "tuning/metrics_table.h"
 
 namespace smq::tuning {
 namespace {
 
-const std::string kCheckedInTable =
-    std::string(SMQ_SOURCE_DIR) + "/data/tuning/metrics_table.json";
+/// One small registry graph per class, from the generators the rows
+/// were measured on.
+const GraphInstance& class_graph(GraphClass cls) {
+  static const std::map<GraphClass, GraphInstance>* graphs = [] {
+    auto* m = new std::map<GraphClass, GraphInstance>();
+    ParamMap road;
+    road.set("vertices", "3000");
+    ParamMap rand;
+    rand.set("vertices", "3000");
+    rand.set("edges", "24000");
+    ParamMap rmat;
+    rmat.set("scale", "11");
+    auto& reg = GraphRegistry::instance();
+    m->emplace(GraphClass::kRoad, reg.create("road", road));
+    m->emplace(GraphClass::kUniform, reg.create("rand", rand));
+    m->emplace(GraphClass::kSocial, reg.create("rmat", rmat));
+    return m;
+  }();
+  return graphs->at(cls);
+}
 
-/// Registry conformance for one table copy; `origin` labels failures.
-void check_table(const MetricsTable& table, const std::string& origin) {
-  EXPECT_EQ(table.version, MetricsTable::kFormatVersion) << origin;
-  EXPECT_FALSE(table.rows.empty())
-      << origin << ": an empty table would send every `--sched auto` "
-      << "run to the fallback preset";
-  std::set<std::tuple<std::string, std::string, unsigned>> keys;
-  for (const MetricsRow& row : table.rows) {
-    const std::string where = origin + ": row " + row.graph_class + '/' +
-                              row.algorithm + " @ " +
-                              std::to_string(row.threads) + 't';
-    // The key fields themselves must be well-formed...
-    EXPECT_TRUE(parse_graph_class(row.graph_class).has_value())
-        << where << ": unknown graph class '" << row.graph_class << "'";
-    EXPECT_TRUE(keys.insert({row.graph_class, row.algorithm, row.threads}).second)
-        << where << ": duplicate key";
-    // ...the algorithm must exist...
-    EXPECT_NE(AlgorithmRegistry::instance().find(row.algorithm), nullptr)
-        << where << ": unregistered algorithm '" << row.algorithm << "'";
-    // ...and the winning preset must be a registered scheduler able to
-    // actually run at the recorded thread count (a sequential entry
-    // recorded at 4t would silently under-deliver).
+/// Run `preset` x `algo_name` at `threads` on `inst` against the oracle.
+void expect_oracle_valid(const std::string& preset, std::string_view algo_name,
+                         const GraphInstance& inst, unsigned threads) {
+  const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
+  ASSERT_NE(algo, nullptr);
+  const SchedulerEntry* entry = SchedulerRegistry::instance().find(preset);
+  ASSERT_NE(entry, nullptr) << "unregistered preset '" << preset << "'";
+  const AlgoReference ref = algo->make_reference(inst, {});
+  const unsigned eff = effective_threads(*entry, threads);
+  AnyScheduler sched = entry->make(eff, {});
+  const AlgoResult result = algo->run(inst, sched, eff, {}, &ref);
+  EXPECT_TRUE(result.validated);
+  EXPECT_TRUE(result.valid) << preset << " failed the " << algo_name
+                            << " oracle at " << eff << " threads";
+}
+
+/// Strictly increasing keys: sorted, and no key appears twice.
+TEST(TuningConformance, RowKeysAreUniqueAndSorted) {
+  const auto rows = auto_rows();
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const AutoRow& a = rows[i - 1];
+    const AutoRow& b = rows[i];
+    EXPECT_LT(std::make_tuple(a.cls, a.algorithm, a.min_threads),
+              std::make_tuple(b.cls, b.algorithm, b.min_threads))
+        << to_string(b.cls) << '/' << b.algorithm << " from "
+        << b.min_threads << "t is duplicated or out of order";
+  }
+}
+
+TEST(TuningConformance, RowsNameRegisteredKeysThatRunAtMinThreads) {
+  for (const AutoRow& row : auto_rows()) {
+    const std::string where = std::string(to_string(row.cls)) + '/' +
+                              std::string(row.algorithm) + " from " +
+                              std::to_string(row.min_threads) + "t";
+    SCOPED_TRACE(where);
+    EXPECT_GE(row.min_threads, 1u);
+    EXPECT_FALSE(row.measured.empty()) << "provenance missing";
+    ASSERT_NE(AlgorithmRegistry::instance().find(row.algorithm), nullptr);
     const SchedulerEntry* entry =
         SchedulerRegistry::instance().find(row.preset);
-    ASSERT_NE(entry, nullptr)
-        << where << ": unregistered preset '" << row.preset << "'";
-    EXPECT_EQ(effective_threads(*entry, row.threads), row.threads)
-        << where << ": preset '" << row.preset
-        << "' cannot run at the recorded thread count";
-    EXPECT_GT(row.tasks_per_sec, 0) << where;
-    EXPECT_GE(row.confidence, 0) << where;
-    EXPECT_LE(row.confidence, 1) << where;
-    EXPECT_FALSE(row.graph.empty()) << where << ": provenance spec missing";
+    ASSERT_NE(entry, nullptr) << "unregistered preset '" << row.preset << "'";
+    // A single-threaded entry in a 4t row would silently under-deliver.
+    EXPECT_EQ(effective_threads(*entry, row.min_threads), row.min_threads);
+    expect_oracle_valid(std::string(row.preset), row.algorithm,
+                        class_graph(row.cls), row.min_threads);
   }
 }
 
-TEST(TuningConformance, CheckedInTableNamesOnlyRegisteredKeys) {
-  check_table(MetricsTable::load(kCheckedInTable), "metrics_table.json");
-}
-
-TEST(TuningConformance, EmbeddedTableNamesOnlyRegisteredKeys) {
-  check_table(MetricsTable::embedded(), "embedded table");
-}
-
-/// The embedded fallback is documented as a verbatim copy of the
-/// checked-in file; catch the two drifting apart at regeneration time.
-TEST(TuningConformance, EmbeddedTableMatchesCheckedInTable) {
-  const MetricsTable file = MetricsTable::load(kCheckedInTable);
-  const MetricsTable embedded = MetricsTable::embedded();
-  ASSERT_EQ(embedded.rows.size(), file.rows.size())
-      << "re-run smq_tune and paste data/tuning/metrics_table.json into "
-      << "src/tuning/embedded_table.cpp";
-  for (std::size_t i = 0; i < file.rows.size(); ++i) {
-    const MetricsRow& a = file.rows[i];
-    const MetricsRow& b = embedded.rows[i];
-    EXPECT_EQ(a.graph_class, b.graph_class) << "row " << i;
-    EXPECT_EQ(a.algorithm, b.algorithm) << "row " << i;
-    EXPECT_EQ(a.threads, b.threads) << "row " << i;
-    EXPECT_EQ(a.preset, b.preset) << "row " << i;
-    EXPECT_DOUBLE_EQ(a.tasks_per_sec, b.tasks_per_sec) << "row " << i;
-  }
-}
-
-/// Every (preset, algorithm) pair the table endorses must execute and
-/// match the oracle — the runtime trusts these rows blindly.
-TEST(TuningConformance, EndorsedPresetAlgorithmPairsPassTheOracle) {
-  const MetricsTable table = MetricsTable::load(kCheckedInTable);
-  ParamMap gparams;
-  gparams.set("vertices", "400");
-  gparams.set("seed", "11");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  std::set<std::pair<std::string, std::string>> pairs;
-  for (const MetricsRow& row : table.rows) {
-    pairs.insert({row.preset, row.algorithm});
-  }
-  for (const auto& [preset, algo_name] : pairs) {
-    SCOPED_TRACE(preset + '/' + algo_name);
-    const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
-    ASSERT_NE(algo, nullptr);
-    const SchedulerEntry* entry = SchedulerRegistry::instance().find(preset);
-    ASSERT_NE(entry, nullptr);
-    const AlgoReference ref = algo->make_reference(inst, {});
-    const unsigned threads = effective_threads(*entry, 2);
-    AnyScheduler sched = entry->make(threads, {});
-    const AlgoResult result = algo->run(inst, sched, threads, {}, &ref);
-    EXPECT_TRUE(result.validated);
-    EXPECT_TRUE(result.valid) << preset << " failed the oracle on " << algo_name;
-  }
-}
-
-/// The acceptance criterion: `--sched auto` resolves to a registered
-/// preset and that preset matches the sequential oracle at 1 and 4
-/// threads, with provenance attached.
-TEST(TuningConformance, AutoSelectionResolvesAndPassesTheOracle) {
-  ParamMap gparams;
-  gparams.set("vertices", "500");
-  gparams.set("seed", "3");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  const AlgorithmEntry* sssp = AlgorithmRegistry::instance().find("sssp");
-  ASSERT_NE(sssp, nullptr);
-  const AlgoReference ref = sssp->make_reference(inst, {});
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+TEST(TuningConformance, LookupTakesTheLargestMinThreadsAtOrBelow) {
+  for (const AutoRow& row : auto_rows()) {
+    SCOPED_TRACE(std::string(row.preset));
     const AutoSelection sel =
-        select_scheduler(inst, "sssp", threads, kCheckedInTable);
-    const SchedulerEntry* entry =
-        SchedulerRegistry::instance().find(sel.preset);
-    ASSERT_NE(entry, nullptr) << "auto resolved to unknown '" << sel.preset << "'";
-    EXPECT_EQ(sel.match, MatchKind::kExact)
-        << "the checked-in table covers uniform/sssp at 1 and 4 threads";
-    EXPECT_FALSE(sel.why.empty());
-    EXPECT_EQ(sel.table_origin, kCheckedInTable);
-    const unsigned eff = effective_threads(*entry, threads);
-    AnyScheduler sched = entry->make(eff, {});
-    const AlgoResult result = sssp->run(inst, sched, eff, {}, &ref);
-    EXPECT_TRUE(result.validated);
-    EXPECT_TRUE(result.valid) << sel.preset << " failed the oracle";
+        select_scheduler(row.cls, row.algorithm, row.min_threads);
+    EXPECT_EQ(sel.match, MatchKind::kExact);
+    EXPECT_EQ(sel.preset, row.preset);
+    EXPECT_NE(sel.why.find(row.measured), std::string::npos);
+    // Every thread count above min_threads resolves to this row or to
+    // a later one of the same key (larger min_threads).
+    const AutoSelection above =
+        select_scheduler(row.cls, row.algorithm, row.min_threads + 64);
+    bool later_row = false;
+    for (const AutoRow& other : auto_rows()) {
+      later_row |= other.cls == row.cls && other.algorithm == row.algorithm &&
+                   other.min_threads > row.min_threads;
+    }
+    if (!later_row) {
+      EXPECT_EQ(above.preset, row.preset);
+    }
   }
 }
 
-/// Resolution is pure given (table, fingerprint, key): repeated calls
-/// must agree, including on fallback paths a stale table exercises.
-TEST(TuningConformance, ResolutionIsDeterministic) {
-  const MetricsTable table = MetricsTable::load(kCheckedInTable);
-  ParamMap gparams;
-  gparams.set("vertices", "500");
-  gparams.set("seed", "3");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  const WorkloadFingerprint fp = fingerprint_graph(*inst.graph);
-  for (const char* algo : {"sssp", "bfs", "astar"}) {
-    // 3t has no exact row -> nearest-threads; 64t -> nearest as well.
-    for (const unsigned threads : {1u, 3u, 4u, 64u}) {
-      const AutoSelection a = select_scheduler(table, "t", fp, algo, threads);
-      const AutoSelection b = select_scheduler(table, "t", fp, algo, threads);
-      EXPECT_EQ(a.preset, b.preset) << algo << " @ " << threads;
-      EXPECT_EQ(a.match, b.match) << algo << " @ " << threads;
-      EXPECT_NE(SchedulerRegistry::instance().find(a.preset), nullptr)
-          << algo << " @ " << threads << " resolved to unknown preset";
+TEST(TuningConformance, KeysWithoutARowFallBackToSmq) {
+  for (const GraphClass cls :
+       {GraphClass::kRoad, GraphClass::kUniform, GraphClass::kSocial}) {
+    const AutoSelection sel = select_scheduler(cls, "pagerank", 4);
+    EXPECT_EQ(sel.preset, kDefaultPreset);
+    EXPECT_EQ(sel.match, MatchKind::kDefault);
+    EXPECT_NE(sel.why.find("paper default"), std::string::npos);
+  }
+  // Zero threads is treated as one, never as "below every row".
+  for (const AutoRow& row : auto_rows()) {
+    if (row.min_threads != 1) continue;
+    EXPECT_EQ(select_scheduler(row.cls, row.algorithm, 0).preset, row.preset);
+  }
+}
+
+/// The acceptance path: on each class, `auto` resolves to a registered
+/// preset that matches the sequential oracle at 1 and 4 threads.
+TEST(TuningConformance, AutoIsOracleValidOnEveryClass) {
+  for (const GraphClass cls :
+       {GraphClass::kRoad, GraphClass::kUniform, GraphClass::kSocial}) {
+    const GraphInstance& inst = class_graph(cls);
+    for (const char* algo : {"sssp", "bfs", "astar"}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(to_string(cls)) + '/' + algo + " @ " +
+                     std::to_string(threads) + 't');
+        const AutoSelection sel = select_scheduler(inst, algo, threads);
+        EXPECT_EQ(sel.cls, cls);
+        EXPECT_FALSE(sel.why.empty());
+        expect_oracle_valid(sel.preset, algo, inst, threads);
+      }
     }
   }
 }

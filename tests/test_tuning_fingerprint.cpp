@@ -1,7 +1,6 @@
-// Fingerprint extraction + nearest-neighbor table resolution (ISSUE
-// satellite): class boundaries on synthetic graphs, exact /
-// nearest-threads / nearest-fingerprint / default lookups, and the
-// deterministic tie-breaking that makes `--sched auto` reproducible.
+// Fingerprint extraction: class boundaries on synthetic graphs, and the
+// registry generators the compiled-in `--sched auto` rows are keyed on
+// (road -> road, rand -> uniform, rmat -> social).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,8 +8,8 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "registry/graph_registry.h"
 #include "tuning/fingerprint.h"
-#include "tuning/metrics_table.h"
 
 namespace smq::tuning {
 namespace {
@@ -52,204 +51,47 @@ TEST(Fingerprint, ClassifyDegreesBoundaries) {
   EXPECT_EQ(classify_degrees(8.0, 20, 0.35), GraphClass::kUniform);
 }
 
-TEST(Fingerprint, GraphClassNamesRoundTrip) {
-  for (GraphClass cls :
-       {GraphClass::kRoad, GraphClass::kUniform, GraphClass::kSocial}) {
-    auto parsed = parse_graph_class(to_string(cls));
-    ASSERT_TRUE(parsed.has_value()) << to_string(cls);
-    EXPECT_EQ(*parsed, cls);
-  }
-  EXPECT_FALSE(parse_graph_class("lattice").has_value());
-  EXPECT_FALSE(parse_graph_class("").has_value());
-}
-
 TEST(Fingerprint, RingGraphFingerprintsAsRoad) {
-  const Graph g = ring_graph(256);
-  const WorkloadFingerprint fp = fingerprint_graph(g);
-  EXPECT_EQ(fp.vertices, 256u);
-  EXPECT_EQ(fp.edges, 512u);
+  const WorkloadFingerprint fp = fingerprint_graph(ring_graph(256));
   EXPECT_DOUBLE_EQ(fp.avg_degree, 2.0);
   EXPECT_EQ(fp.max_degree, 2u);
   EXPECT_NEAR(fp.degree_cv, 0.0, 1e-9);
-  EXPECT_EQ(fp.max_weight, 100u);
-  EXPECT_FALSE(fp.has_coordinates);
   EXPECT_EQ(fp.cls, GraphClass::kRoad);
 }
 
 TEST(Fingerprint, StarGraphFingerprintsAsSocial) {
-  const Graph g = star_graph(256);
-  const WorkloadFingerprint fp = fingerprint_graph(g);
+  const WorkloadFingerprint fp = fingerprint_graph(star_graph(256));
   EXPECT_EQ(fp.max_degree, 255u) << "the hub must dominate";
   EXPECT_GT(fp.degree_cv, 1.0);
   EXPECT_EQ(fp.cls, GraphClass::kSocial);
 }
 
-TEST(Fingerprint, DistancePrefersSameClassAndSize) {
-  WorkloadFingerprint fp;
-  fp.vertices = 4096;
-  fp.avg_degree = 4.0;
-  fp.max_weight = 300;
-  fp.cls = GraphClass::kRoad;
-  const double same = fingerprint_distance(fp, GraphClass::kRoad, 4096, 4.0, 300);
-  const double bigger =
-      fingerprint_distance(fp, GraphClass::kRoad, 1u << 20, 4.0, 300);
-  const double other_class =
-      fingerprint_distance(fp, GraphClass::kSocial, 4096, 4.0, 300);
-  EXPECT_NEAR(same, 0.0, 1e-9);
-  EXPECT_GT(bigger, same);
-  // A class mismatch dominates any plausible size difference.
-  EXPECT_GT(other_class, bigger);
+TEST(Fingerprint, EmptyGraphFingerprintsWithoutDividingByZero) {
+  const WorkloadFingerprint fp = fingerprint_graph(Graph::from_edges(0, {}));
+  EXPECT_EQ(fp.max_degree, 0u);
+  EXPECT_DOUBLE_EQ(fp.degree_cv, 0.0);
 }
 
-// ---- table resolution ------------------------------------------------------
+// ---- the registry generators the auto rows are keyed on --------------------
 
-MetricsRow make_row(const std::string& cls, const std::string& algo,
-                    unsigned threads, const std::string& preset,
-                    double tps = 1e6) {
-  MetricsRow row;
-  row.graph_class = cls;
-  row.algorithm = algo;
-  row.threads = threads;
-  row.preset = preset;
-  row.tasks_per_sec = tps;
-  row.speedup_vs_seq = 1.0;
-  row.confidence = 0.5;
-  row.graph = "test";
-  row.vertices = 4096;
-  row.edges = 16384;
-  row.avg_degree = 4.0;
-  row.max_weight = 255;
-  row.reps = 3;
-  return row;
+GraphClass registry_class(const std::string& source, const ParamMap& params) {
+  const GraphInstance inst = GraphRegistry::instance().create(source, params);
+  return fingerprint_graph(*inst.graph).cls;
 }
 
-WorkloadFingerprint road_fp() {
-  WorkloadFingerprint fp;
-  fp.vertices = 4096;
-  fp.edges = 16384;
-  fp.avg_degree = 4.0;
-  fp.max_degree = 4;
-  fp.degree_cv = 0.1;
-  fp.max_weight = 255;
-  fp.cls = GraphClass::kRoad;
-  return fp;
-}
+TEST(Fingerprint, RegistryGeneratorsClassifyAsTheirFamilies) {
+  ParamMap road;
+  road.set("vertices", "4000");
+  EXPECT_EQ(registry_class("road", road), GraphClass::kRoad);
 
-const std::function<bool(const std::string&)> kAllRegistered =
-    [](const std::string&) { return true; };
+  ParamMap rand;
+  rand.set("vertices", "4000");
+  rand.set("edges", "32000");
+  EXPECT_EQ(registry_class("rand", rand), GraphClass::kUniform);
 
-TEST(Resolution, ExactMatchWins) {
-  MetricsTable table;
-  table.upsert(make_row("road", "sssp", 4, "smq-p8"));
-  table.upsert(make_row("road", "sssp", 2, "mq-c4"));
-  const Resolution r =
-      resolve_preset(table, road_fp(), "sssp", 4, kAllRegistered);
-  EXPECT_EQ(r.preset, "smq-p8");
-  EXPECT_EQ(r.match, MatchKind::kExact);
-  EXPECT_NE(r.why.find("exact"), std::string::npos);
-}
-
-TEST(Resolution, NearestThreadsFallsBackWithinClass) {
-  MetricsTable table;
-  table.upsert(make_row("road", "sssp", 2, "mq-c4"));
-  table.upsert(make_row("road", "sssp", 16, "smq-p16"));
-  // 8 threads: gap 6 to 2t, gap 8 to 16t -> the 2t row.
-  Resolution r = resolve_preset(table, road_fp(), "sssp", 8, kAllRegistered);
-  EXPECT_EQ(r.preset, "mq-c4");
-  EXPECT_EQ(r.match, MatchKind::kNearestThreads);
-  // Equidistant (9 threads: gap 7 both ways) ties to the smaller count.
-  r = resolve_preset(table, road_fp(), "sssp", 9, kAllRegistered);
-  EXPECT_EQ(r.preset, "mq-c4");
-  EXPECT_EQ(r.match, MatchKind::kNearestThreads);
-}
-
-TEST(Resolution, NearestFingerprintCrossesClasses) {
-  MetricsTable table;
-  table.upsert(make_row("uniform", "sssp", 4, "reld-c4"));
-  table.upsert(make_row("social", "sssp", 4, "mq-opt-full"));
-  // No road rows at all: a road fingerprint resolves via the closest
-  // recorded fingerprint (both rows share size, so class order breaks
-  // the tie deterministically -> same result every run).
-  const Resolution r1 =
-      resolve_preset(table, road_fp(), "sssp", 4, kAllRegistered);
-  const Resolution r2 =
-      resolve_preset(table, road_fp(), "sssp", 4, kAllRegistered);
-  EXPECT_EQ(r1.match, MatchKind::kNearestFingerprint);
-  EXPECT_EQ(r1.preset, r2.preset);
-  EXPECT_NE(r1.why.find("nearest"), std::string::npos);
-}
-
-TEST(Resolution, UnregisteredPresetRowsAreSkipped) {
-  MetricsTable table;
-  table.upsert(make_row("road", "sssp", 4, "future-preset"));
-  table.upsert(make_row("road", "sssp", 2, "smq-p8"));
-  const Resolution r = resolve_preset(
-      table, road_fp(), "sssp", 4,
-      [](const std::string& name) { return name != "future-preset"; });
-  // The exact row names a preset this binary lacks: fall through to the
-  // nearest usable row instead of failing.
-  EXPECT_EQ(r.preset, "smq-p8");
-  EXPECT_EQ(r.match, MatchKind::kNearestThreads);
-}
-
-TEST(Resolution, EmptyTableFallsBackToPaperDefault) {
-  MetricsTable table;
-  const Resolution r =
-      resolve_preset(table, road_fp(), "sssp", 4, kAllRegistered);
-  EXPECT_EQ(r.preset, std::string(kFallbackPreset));
-  EXPECT_EQ(r.match, MatchKind::kDefault);
-}
-
-TEST(Resolution, AlgorithmsDoNotCrossContaminate) {
-  MetricsTable table;
-  table.upsert(make_row("road", "bfs", 4, "obim-d4"));
-  const Resolution r =
-      resolve_preset(table, road_fp(), "sssp", 4, kAllRegistered);
-  // The only row is for bfs; sssp must not inherit it via the
-  // same-class path (the fingerprint stage is also algorithm-gated).
-  EXPECT_EQ(r.preset, std::string(kFallbackPreset));
-  EXPECT_EQ(r.match, MatchKind::kDefault);
-}
-
-TEST(MetricsTableIo, FindUpsertAndSortAreDeterministic) {
-  MetricsTable table;
-  table.upsert(make_row("uniform", "sssp", 4, "a"));
-  table.upsert(make_row("road", "bfs", 2, "b"));
-  table.upsert(make_row("road", "bfs", 1, "c"));
-  // Upsert replaces on key match instead of duplicating.
-  table.upsert(make_row("road", "bfs", 2, "d"));
-  ASSERT_EQ(table.rows.size(), 3u);
-  const MetricsRow* hit = table.find("road", "bfs", 2);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->preset, "d");
-  EXPECT_EQ(table.find("road", "bfs", 8), nullptr);
-  table.sort();
-  EXPECT_EQ(table.rows[0].graph_class, "road");
-  EXPECT_EQ(table.rows[0].threads, 1u);
-  EXPECT_EQ(table.rows[1].threads, 2u);
-  EXPECT_EQ(table.rows[2].graph_class, "uniform");
-}
-
-TEST(MetricsTableIo, ParseTextRejectsBadSchemas) {
-  EXPECT_THROW(MetricsTable::parse_text("{}", "test"), std::runtime_error);
-  EXPECT_THROW(
-      MetricsTable::parse_text(
-          R"({"format": "other", "version": 1, "rows": []})", "test"),
-      std::runtime_error);
-  EXPECT_THROW(
-      MetricsTable::parse_text(
-          R"({"format": "smq-tuning-table", "version": 99, "rows": []})",
-          "test"),
-      std::runtime_error);
-  // A minimal valid row parses and defaults the optional fields.
-  const MetricsTable table = MetricsTable::parse_text(
-      R"({"format": "smq-tuning-table", "version": 1, "rows": [
-            {"graph_class": "road", "algorithm": "sssp", "threads": 2,
-             "preset": "smq-p8"}]})",
-      "test");
-  ASSERT_EQ(table.rows.size(), 1u);
-  EXPECT_EQ(table.rows[0].preset, "smq-p8");
-  EXPECT_DOUBLE_EQ(table.rows[0].tasks_per_sec, 0.0);
+  ParamMap rmat;
+  rmat.set("scale", "12");
+  EXPECT_EQ(registry_class("rmat", rmat), GraphClass::kSocial);
 }
 
 }  // namespace

@@ -66,8 +66,7 @@ std::vector<std::string> known_flags() {
       "help",       "h",         "list",      "suite",    "sched",
       "algo",       "graph",     "threads",   "reps",     "json",
       "no-validate", "dispatch", "batch-size", "numa-grid", "graph-cache",
-      "service",    "qps",       "queries",   "lanes",    "query-seed",
-      "tuning-table"};
+      "service",    "qps",       "queries",   "lanes",    "query-seed"};
   const auto add = [&known](const std::vector<Tunable>& tunables) {
     for (const Tunable& t : tunables) known.push_back(t.name);
   };
@@ -208,20 +207,14 @@ int run_service_mode(const ArgParser& args) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     for (const unsigned requested : thread_counts) {
-      // `auto` resolves through the tuning table once per thread count
-      // (the winning preset may change with the worker count); the row
-      // keeps "auto" as its scheduler and reports the resolved preset.
+      // `auto` resolves once per thread count (the winning preset may
+      // change with the worker count); the row keeps "auto" as its
+      // scheduler and reports the resolved preset.
       tuning::AutoSelection selection;
       std::string create_name = name;
       if (is_auto_sched(name)) {
-        try {
-          selection = tuning::select_scheduler(
-              graph, service_auto_algorithm(graph),
-              requested == 0 ? 1 : requested, args.get("tuning-table"));
-        } catch (const std::exception& e) {
-          std::cerr << "smq_run: " << e.what() << "\n";
-          return 2;
-        }
+        selection = tuning::select_scheduler(graph, service_auto_algorithm(graph),
+                                             requested == 0 ? 1 : requested);
         create_name = selection.preset;
         std::cout << tuning::describe_selection(
                          selection, service_auto_algorithm(graph),
@@ -285,7 +278,6 @@ int run(int argc, char** argv) {
            "virtual|batched|static] [--batch-size N]\n"
            "               [--numa-grid nodes=N,..:k=K,..] "
            "[--graph-cache DIR]\n"
-           "               [--tuning-table PATH]\n"
            "               [--service [--qps R] [--queries N] [--lanes N] "
            "[--query-seed S]]\n"
            "               [--<tunable> VALUE ...]\n\n"
@@ -300,13 +292,10 @@ int run(int argc, char** argv) {
            "repeated sweeps skip generation;\n`--numa-grid` crosses the "
            "sweep with simulated-NUMA grid points (nodes x K),\neach row "
            "reporting its measured remote-access fraction.\n\n"
-           "`--sched auto` resolves the scheduler through the tuning "
-           "metrics table\n(data/tuning/metrics_table.json, regenerate with "
-           "smq_tune; override with\n--tuning-table PATH or "
-           "$SMQ_TUNING_TABLE): the preset measured best for\nthis (graph "
-           "class, algorithm, threads) is picked per thread count — exact\n"
-           "row, nearest thread count, or nearest graph fingerprint — and "
-           "every row\nreports the chosen preset and why.\n\n"
+           "`--sched auto` picks, per thread count, the compiled-in row for "
+           "this (graph\nclass, algorithm) with the largest min_threads <= "
+           "threads, or `smq` when\nno row matches (`--list` prints the "
+           "rows); every row reports the chosen\npreset and why.\n\n"
            "`--service` runs point-to-point queries through a persistent "
            "worker-pool\nservice instead of one spawn/join run per row: "
            "`--queries N` random (s,t)\npairs (seeded by --query-seed) are "
@@ -426,34 +415,19 @@ int run(int argc, char** argv) {
     }
   }
 
-  // ---- `--sched auto` resolution inputs --------------------------------
-  // The table is loaded and the graph fingerprinted once; resolution
-  // itself happens per thread count (the winner can change with it).
+  // ---- `--sched auto` resolution input --------------------------------
+  // The graph is classified once; resolution itself happens per thread
+  // count (the winner can change with it).
   const bool any_auto =
       std::any_of(sched_names.begin(), sched_names.end(), is_auto_sched);
-  tuning::MetricsTable auto_table;
-  std::string auto_origin;
-  tuning::WorkloadFingerprint auto_fp;
+  tuning::GraphClass auto_cls = tuning::GraphClass::kUniform;
   if (any_auto) {
     if (grid_active) {
       std::cerr << "--sched auto cannot be combined with --numa-grid (the "
-                   "grid sweeps the axis the table has already pinned)\n";
+                   "grid sweeps the axis the auto rows have already pinned)\n";
       return 2;
     }
-    try {
-      const std::string table_arg = args.get("tuning-table");
-      if (table_arg.empty()) {
-        auto_table = tuning::MetricsTable::load_or_embedded(
-            tuning::MetricsTable::default_path(), &auto_origin);
-      } else {
-        auto_origin = table_arg;
-        auto_table = tuning::MetricsTable::load(table_arg);
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "smq_run: " << e.what() << "\n";
-      return 2;
-    }
-    auto_fp = tuning::fingerprint_graph(*graph.graph);
+    auto_cls = tuning::fingerprint_graph(*graph.graph).cls;
   }
 
   std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
@@ -491,14 +465,14 @@ int run(int argc, char** argv) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     if (is_auto_sched(name)) {
-      // One table resolution per thread count; the row runs the
+      // One resolution per thread count; the row runs the
       // resolved preset under whatever dispatch mode was requested
       // (virtual, batched, or static — same paths as naming it by
       // hand) and carries the provenance into table/JSON.
       for (const unsigned requested : thread_counts) {
         const unsigned want = requested == 0 ? 1 : requested;
-        const tuning::AutoSelection sel = tuning::select_scheduler(
-            auto_table, auto_origin, auto_fp, algo_name, want);
+        const tuning::AutoSelection sel =
+            tuning::select_scheduler(auto_cls, algo_name, want);
         const SchedulerEntry* entry =
             SchedulerRegistry::instance().find(sel.preset);
         DispatchMode row_dispatch = mode;
