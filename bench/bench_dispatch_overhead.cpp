@@ -1,13 +1,12 @@
 // Dispatch-overhead micro-bench: what does the registry boundary cost?
 //
-// Runs SSSP under the hot scheduler keys in all three dispatch modes —
-// virtual (AnyScheduler, one indirect call per push/pop), batched
-// (AnyScheduler, one indirect call per task batch) and static (directly
-// instantiated concrete scheduler) — and reports per-mode throughput
-// plus the ratio to the virtual baseline. This is the number the README
-// quotes and the justification for publishing absolute figures through
-// the registry: if batched/static ~= virtual, the erasure is in the
-// noise; where it is not, `smq_run --dispatch` offers the faster path.
+// Runs SSSP under the hot scheduler keys three ways — virtual
+// (AnyScheduler, batch size 1: one indirect call per task), batched
+// (AnyScheduler, one indirect call per --batch-size tasks) and static
+// (directly instantiated concrete scheduler, batch size 1) — and reports
+// per-row throughput plus the ratio to the virtual row: if static ~=
+// virtual, the erasure is in the noise; the batched row is what
+// `smq_run --batch-size` buys.
 //
 // Schedulers with a "reclaim" tunable get a fourth row, batched+reclaim
 // (epoch-based reclamation on), whose vs_batched ratio is the cost of
@@ -25,6 +24,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/workloads.h"
@@ -52,8 +52,9 @@ struct Row {
 };
 
 struct ModeSpec {
-  const char* label;
-  DispatchMode mode;
+  std::string_view label;
+  bool is_static;
+  std::string batch_size;
   bool reclaim;
 };
 
@@ -95,28 +96,26 @@ int main(int argc, char** argv) {
   for (const std::string& name : schedulers) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     std::vector<ModeSpec> modes = {
-        {"virtual", DispatchMode::kVirtual, false},
-        {"batched", DispatchMode::kBatched, false},
-        {"static", DispatchMode::kStatic, false},
+        {"virtual", false, "1", false},
+        {"batched", false, batch_size, false},
+        {"static", true, "1", false},
     };
     if (has_tunable(*entry, "reclaim")) {
-      modes.push_back({"batched+reclaim", DispatchMode::kBatched, true});
+      modes.push_back({"batched+reclaim", false, batch_size, true});
     }
     double virtual_throughput = 0;
     double batched_throughput = 0;
     for (const ModeSpec& spec : modes) {
       ParamMap run_params = params;
-      if (spec.mode == DispatchMode::kBatched) {
-        run_params.set("batch-size", batch_size);
-      }
+      run_params.set("batch-size", spec.batch_size);
       if (spec.reclaim) run_params.set("reclaim", "epoch");
       Row row;
       row.scheduler = name;
-      row.dispatch = spec.label;
+      row.dispatch = std::string(spec.label);
       for (int rep = 0; rep < reps; ++rep) {
         AlgoResult result;
         std::size_t footprint = 0;
-        if (spec.mode == DispatchMode::kStatic) {
+        if (spec.is_static) {
           result = *run_static_dispatch(name, "sssp", graph, threads,
                                         run_params, &reference);
         } else {
@@ -134,10 +133,8 @@ int main(int argc, char** argv) {
       row.mops = row.seconds > 0
                      ? static_cast<double>(row.tasks) / row.seconds / 1e6
                      : 0;
-      if (spec.mode == DispatchMode::kVirtual) virtual_throughput = row.mops;
-      if (spec.mode == DispatchMode::kBatched && !spec.reclaim) {
-        batched_throughput = row.mops;
-      }
+      if (spec.label == "virtual") virtual_throughput = row.mops;
+      if (spec.label == "batched") batched_throughput = row.mops;
       row.vs_virtual =
           virtual_throughput > 0 ? row.mops / virtual_throughput : 1.0;
       if (spec.reclaim && batched_throughput > 0) {

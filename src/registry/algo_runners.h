@@ -2,13 +2,13 @@
 //
 // Each run_*_algo<S>() runs one registered workload under a scheduler of
 // *any* concrete type modelling PriorityScheduler and validates against
-// the sequential oracle. All three dispatch modes resolve to the same
-// handle API underneath: the executor acquires one per-thread handle
+// the sequential oracle. Both dispatch paths resolve to the same handle
+// API underneath: the executor acquires one per-thread handle
 // (handle_adapted) per run, so
 //  * the algorithm registry instantiates these with S = AnyScheduler,
 //    whose handle() crosses the HandleView virtual boundary — one
-//    acquisition per thread, then one virtual per op (--dispatch
-//    virtual) or per batch (--dispatch batched);
+//    acquisition per thread, then one virtual per handle call of
+//    --batch-size tasks;
 //  * the static dispatch table (static_dispatch.h) instantiates them
 //    with the concrete scheduler types, whose native handles inline.
 // Both paths share the exact oracle-comparison and checksum logic and

@@ -16,7 +16,7 @@ namespace {
 const std::vector<Tunable> kExecutorTunables = {
     {"batch-size", "1",
      "tasks per executor scheduler call (one dispatch + one pending-counter "
-     "update per batch; >1 enables the batched worker loop)"},
+     "update per batch)"},
 };
 
 std::vector<Tunable> with_executor_tunables(std::vector<Tunable> tunables) {

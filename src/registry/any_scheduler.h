@@ -11,20 +11,15 @@
 // comparison harness needs; perf-critical single-scheduler code can still
 // use static dispatch (src/registry/static_dispatch.h).
 //
-// Three boundaries, cheapest first:
-//  * HandleView (via handle(tid)): the executor acquires one erased
-//    per-thread handle per run. Acquisition resolves the concrete
-//    scheduler's thread-local state once — the view wraps the concrete
-//    S::Handle (or its TidHandle shim) — so each subsequent operation is
-//    one virtual call with no tid re-indexing behind it.
-//  * The batch entry points (push_batch / try_pop_batch): cross the
-//    virtual boundary once per batch instead of once per task; each
-//    Model forwards to the scheduler's native batch ops when the
-//    BatchPush/BatchPop concepts detect them, and to a plain loop on the
-//    concrete type otherwise — so even the fallback pays the indirection
-//    only once.
-//  * The tid-indexed per-op virtuals: the legacy surface, kept for
-//    callers that poke a single operation (tests, micro-benches).
+// One erased boundary, the per-thread HandleView (via handle(tid)): the
+// executor acquires one erased handle per thread per run. Acquisition
+// resolves the concrete scheduler's thread-local state once — the view
+// wraps the concrete S::Handle (or its TidHandle shim) — so each later
+// operation is one virtual call with no tid re-indexing behind it, and
+// the batch entry points (push_batch / try_pop_batch) cross it once per
+// batch. The tid-indexed methods are non-virtual forwards through a
+// freshly acquired handle: they keep the PriorityScheduler concepts
+// satisfied for callers that poke a single operation (tests).
 #pragma once
 
 #include <cstddef>
@@ -43,8 +38,7 @@ class AnyScheduler {
  public:
   /// The erased per-thread handle interface. One virtual call per
   /// operation; the model behind it holds the concrete scheduler's
-  /// native handle, so the thread-state resolution the tid virtuals pay
-  /// per call has already happened at acquisition.
+  /// native handle, so the thread state was resolved at acquisition.
   class HandleView {
    public:
     virtual ~HandleView() = default;
@@ -111,18 +105,18 @@ class AnyScheduler {
 
   // ---- PriorityScheduler / FlushableScheduler interface ---------------
 
-  void push(unsigned tid, Task t) { impl_->push(tid, t); }
-  std::optional<Task> try_pop(unsigned tid) { return impl_->try_pop(tid); }
+  void push(unsigned tid, Task t) { handle(tid).push(t); }
+  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
   void push_batch(unsigned tid, std::span<const Task> tasks) {
-    impl_->push_batch(tid, tasks);
+    handle(tid).push_batch(tasks);
   }
   std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
                             std::size_t max) {
-    return impl_->try_pop_batch(tid, out, max);
+    return handle(tid).try_pop_batch(out, max);
   }
-  void flush(unsigned tid) { impl_->flush(tid); }
+  void flush(unsigned tid) { handle(tid).flush(); }
   void collect_stats(unsigned tid, ThreadStats& st) const {
-    impl_->collect_stats(tid, st);
+    Handle(impl_->acquire(tid)).collect_stats(st);
   }
   unsigned num_threads() const { return impl_->num_threads(); }
 
@@ -144,17 +138,10 @@ class AnyScheduler {
  private:
   struct Concept {
     virtual ~Concept() = default;
-    virtual void push(unsigned tid, Task t) = 0;
-    virtual std::optional<Task> try_pop(unsigned tid) = 0;
-    virtual void push_batch(unsigned tid, std::span<const Task> tasks) = 0;
-    virtual std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                                      std::size_t max) = 0;
-    virtual void flush(unsigned tid) = 0;
-    virtual void collect_stats(unsigned tid, ThreadStats& st) const = 0;
+    virtual std::unique_ptr<HandleView> acquire(unsigned tid) = 0;
     virtual unsigned num_threads() const = 0;
     virtual void quiesce(unsigned tid) = 0;
     virtual std::size_t memory_footprint() const = 0;
-    virtual std::unique_ptr<HandleView> acquire(unsigned tid) = 0;
   };
 
   template <PriorityScheduler S>
@@ -187,21 +174,6 @@ class AnyScheduler {
       HandleOf<S> h;
     };
 
-    void push(unsigned tid, Task t) override { sched.push(tid, t); }
-    std::optional<Task> try_pop(unsigned tid) override {
-      return sched.try_pop(tid);
-    }
-    void push_batch(unsigned tid, std::span<const Task> tasks) override {
-      push_batch_adapted(sched, tid, tasks);
-    }
-    std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                              std::size_t max) override {
-      return try_pop_batch_adapted(sched, tid, out, max);
-    }
-    void flush(unsigned tid) override { flush_if_supported(sched, tid); }
-    void collect_stats(unsigned tid, ThreadStats& st) const override {
-      collect_stats_if_supported(sched, tid, st);
-    }
     unsigned num_threads() const override { return sched.num_threads(); }
     void quiesce(unsigned tid) override { quiesce_if_supported(sched, tid); }
     std::size_t memory_footprint() const override {

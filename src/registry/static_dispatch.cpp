@@ -123,22 +123,6 @@ ResolvedStatic resolve_static(std::string_view scheduler,
 
 }  // namespace
 
-std::optional<DispatchMode> parse_dispatch_mode(std::string_view name) {
-  if (name == "virtual") return DispatchMode::kVirtual;
-  if (name == "batched") return DispatchMode::kBatched;
-  if (name == "static") return DispatchMode::kStatic;
-  return std::nullopt;
-}
-
-std::string_view to_string(DispatchMode mode) {
-  switch (mode) {
-    case DispatchMode::kVirtual: return "virtual";
-    case DispatchMode::kBatched: return "batched";
-    case DispatchMode::kStatic: return "static";
-  }
-  return "virtual";
-}
-
 bool has_static_dispatch(std::string_view scheduler) {
   return resolve_static(scheduler, {}).entry != nullptr;
 }

@@ -1,10 +1,10 @@
 // Static-dispatch escape hatch for the hot scheduler keys.
 //
-// AnyScheduler buys runtime selection at one virtual call per scheduler
-// op (or per batch, with the batched loop). For publishing absolute
-// numbers the run driver needs a path with *zero* erasure overhead:
-// run_static_dispatch() maps the hot registry keys (smq, smq-skiplist,
-// mq, mq-opt, obim) to directly instantiated Executor<Concrete> runs —
+// AnyScheduler buys runtime selection at one virtual call per handle
+// call (one task, or one batch of --batch-size tasks). For publishing
+// absolute numbers the run driver also has a path with *zero* erasure
+// overhead: run_static_dispatch() maps the hot registry keys (smq,
+// smq-skiplist, mq, mq-opt, obim, pmod) to directly instantiated runs —
 // the same templated runners (algo_runners.h), the same config parsing
 // (scheduler_configs.h), but monomorphized end to end exactly like the
 // seed's hand-written benches. Selected via `smq_run --dispatch static`.
@@ -20,16 +20,6 @@
 #include "registry/params.h"
 
 namespace smq {
-
-/// How the run driver crosses the scheduler boundary.
-enum class DispatchMode {
-  kVirtual,  // AnyScheduler, one virtual call per push/pop
-  kBatched,  // AnyScheduler, one virtual call per task batch
-  kStatic,   // concrete Executor<S> instantiation, no erasure
-};
-
-std::optional<DispatchMode> parse_dispatch_mode(std::string_view name);
-std::string_view to_string(DispatchMode mode);
 
 /// True when `scheduler` (a SchedulerRegistry key) has a static table
 /// entry — directly, or through its preset family (an obim-d4 run

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "registry/scheduler_registry.h"
+#include "registry/static_dispatch.h"
 #include "support/cli.h"
 #include "support/json_writer.h"
 
@@ -30,7 +31,7 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
         row.auto_selected ? row.label + ":" + row.scheduler : row.label;
     table.add_row(
         {label, std::to_string(row.threads),
-         std::string(to_string(row.dispatch)),
+         std::string(row.dispatch),
          row.numa_grid ? row.numa.label() : report.params.get("numa", "-"),
          TablePrinter::fmt(row.result.run.seconds * 1e3),
          std::to_string(stats.pops), std::to_string(stats.wasted),
@@ -50,7 +51,7 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   json.member("tool", "smq_run");
   if (!report.suite.empty()) json.member("suite", report.suite);
   json.member("algorithm", report.algorithm);
-  json.member("dispatch", std::string(to_string(report.dispatch)));
+  json.member("dispatch", std::string(report.dispatch));
   if (!report.numa_grid_spec.empty()) {
     json.member("numa_grid", report.numa_grid_spec);
   }
@@ -99,7 +100,7 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
     if (row.threads != row.requested_threads) {
       json.member("requested_threads", row.requested_threads);
     }
-    json.member("dispatch", std::string(to_string(row.dispatch)));
+    json.member("dispatch", std::string(row.dispatch));
     if (row.numa_grid) {
       json.member("numa_nodes", row.numa.nodes);
       if (row.numa.k_set) json.member("numa_k", row.numa.k);
@@ -169,13 +170,13 @@ AlgoResult measure_sweep_row(const SchedulerEntry& entry,
                              const AlgorithmEntry& algo,
                              std::string_view algo_name,
                              const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, DispatchMode dispatch,
+                             const ParamMap& run_params, bool static_dispatch,
                              const AlgoReference* ref, int reps) {
   AlgoResult best;
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
     AlgoResult result;
     std::optional<AlgoResult> static_result;
-    if (dispatch == DispatchMode::kStatic) {
+    if (static_dispatch) {
       static_result = run_static_dispatch(scheduler, algo_name, graph,
                                           threads, run_params, ref);
     }
@@ -193,32 +194,27 @@ AlgoResult measure_sweep_row(const SchedulerEntry& entry,
   return best;
 }
 
-std::optional<DispatchMode> resolve_dispatch_mode(const ArgParser& args,
-                                                  ParamMap& params,
-                                                  std::ostream& err) {
-  const std::string dispatch_name = args.get("dispatch", "virtual");
-  const std::optional<DispatchMode> dispatch =
-      parse_dispatch_mode(dispatch_name);
-  if (!dispatch) {
-    err << "unknown dispatch mode: " << dispatch_name
-        << " (expected virtual, batched or static)\n";
-    return std::nullopt;
-  }
-  // Batched dispatch amortizes the erasure boundary over --batch-size
-  // tasks; default it so `--dispatch batched` alone does something.
-  if (*dispatch == DispatchMode::kBatched && !params.has("batch-size")) {
-    params.set("batch-size", "64");
-  }
-  DispatchMode mode = *dispatch;
-  if (mode != DispatchMode::kStatic) {
-    mode = params.get_int("batch-size", 1) > 1 ? DispatchMode::kBatched
-                                               : DispatchMode::kVirtual;
-    if (mode != *dispatch) {
-      err << "note: --batch-size " << params.get("batch-size", "1")
-          << " makes this a " << to_string(mode) << " run\n";
-    }
-  }
-  return mode;
+std::optional<bool> parse_static_dispatch(const ArgParser& args,
+                                          std::ostream& err) {
+  if (!args.has_flag("dispatch")) return false;
+  if (args.get("dispatch") == "static") return true;
+  err << "--dispatch takes only `static`; the erased path has one loop: "
+         "choose its tasks per handle call with --batch-size N (1 = one "
+         "task per call)\n";
+  return std::nullopt;
+}
+
+bool row_dispatch_static(bool want_static, std::string_view scheduler,
+                         std::ostream& err) {
+  if (!want_static || has_static_dispatch(scheduler)) return want_static;
+  err << "note: no static dispatch entry for '" << scheduler
+      << "'; running it erased\n";
+  return false;
+}
+
+std::string_view dispatch_label(bool static_dispatch, const ParamMap& params) {
+  if (static_dispatch) return "static";
+  return params.get_int("batch-size", 1) > 1 ? "batched" : "virtual";
 }
 
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
@@ -251,7 +247,7 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
   }
   report.algorithm = algo_name;
   report.params = params;
-  report.dispatch = opts.dispatch;
+  report.dispatch = dispatch_label(opts.static_dispatch, params);
   report.suite = suite.name;
 
   const std::vector<unsigned>& thread_counts =
@@ -264,11 +260,8 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       << report.graph.graph->num_vertices() << " vertices, "
       << report.graph.graph->num_edges() << " edges)\n"
       << "algorithm: " << algo_name << "\n"
-      << "dispatch: " << to_string(opts.dispatch);
-  if (opts.dispatch == DispatchMode::kBatched) {
-    out << " (batch-size " << params.get("batch-size") << ")";
-  }
-  out << "\n";
+      << "dispatch: " << report.dispatch << " (batch-size "
+      << params.get("batch-size", "1") << ")\n";
 
   AlgoReference reference;
   if (opts.validate) {
@@ -288,13 +281,8 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
           << run.scheduler << "\n";
       return 2;
     }
-    DispatchMode row_dispatch = opts.dispatch;
-    if (row_dispatch == DispatchMode::kStatic &&
-        !has_static_dispatch(run.scheduler)) {
-      err << "note: no static dispatch entry for '" << run.scheduler
-          << "'; running it virtual\n";
-      row_dispatch = DispatchMode::kVirtual;
-    }
+    const bool row_static =
+        row_dispatch_static(opts.static_dispatch, run.scheduler, err);
     // The run's grid point wins over conflicting CLI tunables — it IS
     // the suite's sweep axis.
     ParamMap run_params = params;
@@ -308,11 +296,11 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       row.row_params = run.params;
       row.requested_threads = requested;
       row.threads = effective_threads(*entry, requested);
-      row.dispatch = row_dispatch;
+      row.dispatch = dispatch_label(row_static, run_params);
       row.reps = reps;
       row.result = measure_sweep_row(*entry, run.scheduler, *algo, algo_name,
                                      report.graph, row.threads, run_params,
-                                     row_dispatch, report.reference, reps);
+                                     row_static, report.reference, reps);
       if (row.result.validated && !row.result.valid) any_invalid = true;
       report.rows.push_back(std::move(row));
     }
@@ -340,7 +328,7 @@ int run_suite_main(std::string_view suite_name, int argc, char** argv) {
     std::cout << "usage: reproduce " << suite->figure << " ("
               << suite->description << ")\n"
                  "  [--threads N[,N...]] [--reps N] [--json PATH|-]\n"
-                 "  [--dispatch virtual|batched|static] [--batch-size N]\n"
+                 "  [--batch-size N] [--dispatch static]\n"
                  "  [--graph NAME] [--algo NAME] [--graph-cache DIR]\n"
                  "  [--no-validate] [--<tunable> VALUE ...]\n\n"
                  "Expands the suite's preset sweep through the registry "
@@ -353,10 +341,10 @@ int run_suite_main(std::string_view suite_name, int argc, char** argv) {
   SuiteOptions opts;
   opts.cli_params = ParamMap::from_args(args);
 
-  const std::optional<DispatchMode> mode =
-      resolve_dispatch_mode(args, opts.cli_params, std::cerr);
-  if (!mode) return 2;
-  opts.dispatch = *mode;
+  const std::optional<bool> want_static =
+      parse_static_dispatch(args, std::cerr);
+  if (!want_static) return 2;
+  opts.static_dispatch = *want_static;
 
   if (args.has_flag("threads")) {
     try {

@@ -21,7 +21,6 @@
 #include "registry/numa_grid.h"
 #include "registry/params.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "registry/suites.h"
 
 namespace smq {
@@ -35,7 +34,7 @@ struct SweepRow {
   ParamMap row_params;    // per-run overrides (suite grids; empty ad-hoc)
   unsigned requested_threads = 0;
   unsigned threads = 0;   // effective (clamped) count
-  DispatchMode dispatch = DispatchMode::kVirtual;  // actually used
+  std::string_view dispatch = "virtual";  // dispatch_label() of the run
   NumaGridPoint numa;     // this row's grid point (inactive w/o a grid)
   bool numa_grid = false; // row came from a --numa-grid sweep
   AlgoResult result;
@@ -53,7 +52,7 @@ struct SweepReport {
   std::string algorithm;
   GraphInstance graph;
   ParamMap params;             // global params (graph + CLI tunables)
-  DispatchMode dispatch = DispatchMode::kVirtual;  // requested mode
+  std::string_view dispatch = "virtual";  // dispatch_label() requested
   std::string numa_grid_spec;  // empty without a grid
   std::string suite;           // suite name; empty for ad-hoc sweeps
   const AlgoReference* reference = nullptr;  // null without validation
@@ -81,32 +80,38 @@ AlgoReference measure_reference(const AlgorithmEntry& algo,
 
 /// Best-of-`reps` measurement of one sweep row under `entry`
 /// (registered as `scheduler`): the static-dispatch path when
-/// `dispatch` is kStatic and the key resolves to a static row, the
-/// virtual factory otherwise. Prefers valid results, then the fastest
+/// `static_dispatch` is set and the key resolves to a static row, the
+/// erased factory otherwise. Prefers valid results, then the fastest
 /// wall time. `threads` must already be clamped via effective_threads().
 AlgoResult measure_sweep_row(const SchedulerEntry& entry,
                              std::string_view scheduler,
                              const AlgorithmEntry& algo,
                              std::string_view algo_name,
                              const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, DispatchMode dispatch,
+                             const ParamMap& run_params, bool static_dispatch,
                              const AlgoReference* ref, int reps);
 
-/// Normalize --dispatch/--batch-size into the mode that will actually
-/// run: the executor picks its loop from batch-size alone, so
-/// `--batch-size 64` without `--dispatch` IS a batched run and
-/// `--dispatch batched` defaults batch-size to 64. Returns nullopt (and
-/// explains on `err`) for an unknown mode name. The perf gate keys
-/// baseline rows on this label; it must not lie.
-std::optional<DispatchMode> resolve_dispatch_mode(const ArgParser& args,
-                                                  ParamMap& params,
-                                                  std::ostream& err);
+/// `--dispatch static` -> true, no --dispatch -> false. Any other value
+/// returns nullopt after pointing at --batch-size on `err`: the erased
+/// path has one loop, and its batch size is its only knob.
+std::optional<bool> parse_static_dispatch(const ArgParser& args,
+                                          std::ostream& err);
+
+/// Whether `scheduler`'s rows run static: `want_static` and the key has
+/// a static entry. Notes the erased fallback on `err` otherwise.
+bool row_dispatch_static(bool want_static, std::string_view scheduler,
+                         std::ostream& err);
+
+/// The "dispatch" label of a run (table column, JSON key, perf-gate row
+/// key): `static` for static dispatch, else `batched` when the
+/// batch-size in `params` is above 1 and `virtual` at 1.
+std::string_view dispatch_label(bool static_dispatch, const ParamMap& params);
 
 struct SuiteOptions {
   std::vector<unsigned> threads;  // empty = the suite's default sweep
   int reps = 1;
   bool validate = true;
-  DispatchMode dispatch = DispatchMode::kVirtual;
+  bool static_dispatch = false;  // --dispatch static
   ParamMap cli_params;        // --key value tunables + graph overrides
   std::string algo_override;  // empty = suite default
   std::string graph_override;

@@ -12,21 +12,19 @@
 // the counter reads zero. This is exact for the monotone workloads in the
 // paper (tasks only create tasks while being executed).
 //
-// One worker loop serves both execution styles, templated on kBatched:
-//  * per-task (batch_size == 1): the classic pop/run/decrement loop; the
-//    push-buffer machinery compiles away entirely.
-//  * batched (batch_size > 1): pops up to batch_size tasks with one
-//    handle call, buffers pushes thread-locally and publishes them with
-//    one handle call + one counter update per flush. This amortizes the
-//    dispatch boundary (e.g. AnyScheduler's virtual HandleView) the same
-//    way the paper's Optimization 1 amortizes queue locks.
+// Every run goes through one batched worker loop: it pops up to
+// batch_size tasks with one handle call, buffers the pushes of the tasks
+// it runs thread-locally and publishes them with one handle call plus
+// one counter update per flush. This amortizes the dispatch boundary
+// (e.g. AnyScheduler's virtual HandleView) the same way the paper's
+// Optimization 1 amortizes queue locks; batch_size == 1 is one task per
+// handle call.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "sched/scheduler_traits.h"
@@ -41,53 +39,22 @@ namespace smq {
 /// Knobs of run_parallel that are independent of the scheduler.
 struct ExecutorOptions {
   /// Tasks popped per handle call and buffered per push flush.
-  /// 1 selects the classic per-task loop.
   std::size_t batch_size = 1;
 };
 
 /// Per-thread view given to the task functor; the only way user code
-/// interacts with the scheduler during a run. Pushes go straight through
-/// the thread's handle, one pending-counter RMW per task.
+/// interacts with the scheduler during a run. Pushes accumulate in a
+/// per-thread buffer and reach the scheduler via one handle push_batch
+/// with a single relaxed fetch_add(n) on the pending counter per flush.
+/// Safe for termination because the counter is bumped *before* the tasks
+/// become visible, and the executed tasks that created them are not
+/// retired until after flush() (see worker_loop).
 template <SchedulerHandle H>
-class WorkContext {
+class TaskContext {
  public:
-  WorkContext(H& handle, std::atomic<std::int64_t>& pending,
-              ThreadStats& stats) noexcept
-      : handle_(handle), pending_(pending), stats_(stats) {}
-
-  void push(Task t) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    handle_.push(t);
-    ++stats_.pushes;
-  }
-
-  /// Nothing buffered; exists so the worker loop's termination protocol
-  /// is identical for both context flavours.
-  void flush() noexcept {}
-
-  /// Mark the task being executed as wasted (stale) work.
-  void mark_wasted() noexcept { ++stats_.wasted; }
-
-  unsigned thread_id() const noexcept { return handle_.thread_id(); }
-
- private:
-  H& handle_;
-  std::atomic<std::int64_t>& pending_;
-  ThreadStats& stats_;
-};
-
-/// Batched counterpart of WorkContext: pushes accumulate in a per-thread
-/// buffer and reach the scheduler via one handle push_batch with a single
-/// relaxed fetch_add(n) on the pending counter per flush (instead of one
-/// RMW per task). Safe for termination because the counter is bumped
-/// *before* the tasks become visible, and the executed tasks that created
-/// them are not retired until after flush() (see worker_loop).
-template <SchedulerHandle H>
-class BatchWorkContext {
- public:
-  BatchWorkContext(H& handle, std::atomic<std::int64_t>& pending,
-                   ThreadStats& stats, std::vector<Task>& buffer,
-                   std::size_t capacity) noexcept
+  TaskContext(H& handle, std::atomic<std::int64_t>& pending,
+              ThreadStats& stats, std::vector<Task>& buffer,
+              std::size_t capacity) noexcept
       : handle_(handle),
         pending_(pending),
         stats_(stats),
@@ -126,7 +93,7 @@ class BatchWorkContext {
   std::size_t capacity_;
 };
 
-/// Per-thread scratch of the batched loop (pop batch + push buffer),
+/// Per-thread scratch of the worker loop (pop batch + push buffer),
 /// cache-padded as an array slot so neighbouring threads' buffer headers
 /// never false-share. Shared with the service worker loop
 /// (service/scheduler_service.h), which runs the same protocol on a
@@ -138,57 +105,30 @@ struct WorkerBuffers {
 
 namespace detail {
 
-/// The worker loop, shared by both execution styles. kBatched only
-/// changes how work enters and leaves the thread (handle batch ops +
-/// push buffering vs. direct calls); the termination protocol is written
-/// once:
-///
-/// Children first, then retire the executed work. The executed tasks'
-/// pending counts cover their still-buffered children, so the counter
-/// cannot dip to zero while work sits in this thread's buffer. fetch_sub
-/// and fetch_add hit the same atomic, so the counter's modification
-/// order alone rules out a phantom zero; the acq_rel on the sub is what
-/// hands a release edge to the thread that finally observes zero with
-/// its acquire load. On an empty pop, everything this thread still
-/// buffers (context push buffer, scheduler-internal insert buffers) must
-/// be published through the handle before the counter read is allowed to
-/// conclude the system has drained.
-template <bool kBatched, SchedulerHandle H, typename Fn>
+/// The worker loop. Children first, then retire the executed work: the
+/// executed tasks' pending counts cover their still-buffered children, so
+/// the counter cannot dip to zero while work sits in this thread's
+/// buffer. fetch_sub and fetch_add hit the same atomic, so the counter's
+/// modification order alone rules out a phantom zero; the acq_rel on the
+/// sub is what hands a release edge to the thread that finally observes
+/// zero with its acquire load. On an empty pop, everything this thread
+/// still buffers (context push buffer, scheduler-internal insert buffers)
+/// must be published through the handle before the counter read is
+/// allowed to conclude the system has drained.
+template <SchedulerHandle H, typename Fn>
 void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
                  ThreadStats& stats, Fn& fn, std::size_t batch_size,
-                 WorkerBuffers* bufs) {
-  using Ctx =
-      std::conditional_t<kBatched, BatchWorkContext<H>, WorkContext<H>>;
-  Ctx ctx = [&] {
-    if constexpr (kBatched) {
-      bufs->pop.reserve(batch_size);
-      return Ctx(handle, pending, stats, bufs->push, batch_size);
-    } else {
-      (void)bufs;
-      (void)batch_size;
-      return Ctx(handle, pending, stats);
-    }
-  }();
+                 WorkerBuffers& bufs) {
+  TaskContext<H> ctx(handle, pending, stats, bufs.push, batch_size);
+  bufs.pop.reserve(batch_size);
   Backoff backoff;
   while (true) {
-    std::size_t taken = 0;
-    if constexpr (kBatched) {
-      bufs->pop.clear();
-      taken = handle.try_pop_batch(bufs->pop, batch_size);
-      if (taken > 0) {
-        backoff.reset();
-        stats.pops += taken;
-        for (std::size_t i = 0; i < bufs->pop.size(); ++i) fn(bufs->pop[i], ctx);
-      }
-    } else {
-      if (std::optional<Task> task = handle.try_pop()) {
-        taken = 1;
-        backoff.reset();
-        ++stats.pops;
-        fn(*task, ctx);
-      }
-    }
+    bufs.pop.clear();
+    const std::size_t taken = handle.try_pop_batch(bufs.pop, batch_size);
     if (taken > 0) {
+      backoff.reset();
+      stats.pops += taken;
+      for (std::size_t i = 0; i < bufs.pop.size(); ++i) fn(bufs.pop[i], ctx);
       ctx.flush();  // children visible before their parents retire
       pending.fetch_sub(static_cast<std::int64_t>(taken),
                         std::memory_order_acq_rel);
@@ -240,17 +180,11 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
     for (auto& handle : handles) handle.flush();
   }
 
-  std::vector<Padded<WorkerBuffers>> buffers(
-      batch_size > 1 ? num_threads : 0);
+  std::vector<Padded<WorkerBuffers>> buffers(num_threads);
   auto work = [&](unsigned tid) {
     auto handle = handle_adapted(sched, tid);
-    if (batch_size > 1) {
-      detail::worker_loop<true>(handle, pending, stats.of(tid), fn, batch_size,
-                                &buffers[tid].value);
-    } else {
-      detail::worker_loop<false>(handle, pending, stats.of(tid), fn, batch_size,
-                                 nullptr);
-    }
+    detail::worker_loop(handle, pending, stats.of(tid), fn, batch_size,
+                        buffers[tid].value);
   };
 
   Timer timer;

@@ -42,7 +42,7 @@ struct ServiceOptions {
   /// over the graph). 0 = 2x the worker count.
   unsigned lanes = 0;
   /// Executor batch size per worker: tasks popped per handle call and
-  /// pushes buffered per flush. 1 = the classic per-task loop.
+  /// pushes buffered per flush. 1 = one task per handle call.
   std::size_t batch_size = 8;
   /// Drive queries as A* with the equirectangular heuristic when the
   /// graph has coordinates; false forces plain Dijkstra.

@@ -49,7 +49,6 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -254,59 +253,26 @@ class SchedulerService final : public QueryService {
 
   void worker(unsigned tid) {
     auto handle = handle_adapted(sched_, tid);
-    if (opts_.batch_size > 1) {
-      service_loop<true>(handle, stats_.of(tid));
-    } else {
-      service_loop<false>(handle, stats_.of(tid));
-    }
-  }
-
-  template <bool kBatched, typename H>
-  void service_loop(H& handle, ThreadStats& stats) {
-    WorkerBuffers bufs;
+    ThreadStats& stats = stats_.of(tid);
     const std::size_t batch = opts_.batch_size;
-    using Ctx = std::conditional_t<kBatched, BatchWorkContext<H>, WorkContext<H>>;
-    Ctx ctx = [&] {
-      if constexpr (kBatched) {
-        bufs.pop.reserve(batch);
-        return Ctx(handle, pending_, stats, bufs.push, batch);
-      } else {
-        return Ctx(handle, pending_, stats);
-      }
-    }();
+    WorkerBuffers bufs;
+    bufs.pop.reserve(batch);
+    TaskContext ctx(handle, pending_, stats, bufs.push, batch);
     Backoff backoff;
     std::vector<Task> seeds;
     std::vector<Completion> done;
-    Task single{};
     while (true) {
-      std::size_t taken = 0;
-      if constexpr (kBatched) {
-        bufs.pop.clear();
-        taken = handle.try_pop_batch(bufs.pop, batch);
-        if (taken > 0) {
-          backoff.reset();
-          stats.pops += taken;
-          for (const Task& t : bufs.pop) execute_task(t, ctx);
-        }
-      } else {
-        if (std::optional<Task> t = handle.try_pop()) {
-          taken = 1;
-          backoff.reset();
-          ++stats.pops;
-          single = *t;
-          execute_task(single, ctx);
-        }
-      }
+      bufs.pop.clear();
+      const std::size_t taken = handle.try_pop_batch(bufs.pop, batch);
       if (taken > 0) {
+        backoff.reset();
+        stats.pops += taken;
+        for (const Task& t : bufs.pop) execute_task(t, ctx);
         // Children first (flush), then retire — a job's pending count
         // must cover its still-buffered children, and the global
         // counter must cover every lane until its tasks are retired.
         ctx.flush();
-        if constexpr (kBatched) {
-          for (const Task& t : bufs.pop) retire_task(t, done);
-        } else {
-          retire_task(single, done);
-        }
+        for (const Task& t : bufs.pop) retire_task(t, done);
         pending_.fetch_sub(static_cast<std::int64_t>(taken),
                            std::memory_order_acq_rel);
         if (!done.empty()) {
@@ -448,7 +414,7 @@ class SchedulerService final : public QueryService {
     }
     mutex_.unlock();
     if (seeds.empty()) return false;
-    // Counter before visibility, exactly like BatchWorkContext::flush.
+    // Counter before visibility, exactly like TaskContext::flush.
     stats.pushes += seeds.size();
     pending_.fetch_add(static_cast<std::int64_t>(seeds.size()),
                        std::memory_order_relaxed);

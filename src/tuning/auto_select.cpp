@@ -8,16 +8,16 @@ namespace smq::tuning {
 
 namespace {
 
-// Measured with `smq_run --dispatch batched --reps 1 --threads 1,4`,
+// Measured with `smq_run --batch-size 64 --reps 1 --threads 1,4`,
 // five interleaved runs of smq against smq-p16, mq-opt-full, obim-d4,
 // reld-c4, mq-c4 and pmod-d4, on `road --vertices 1000000` (road),
 // `rand --vertices 1000000 --edges 8000000` (uniform) and `rmat
 // --scale 20` (social), 4-core Xeon VM. A row exists only where its
 // preset's best time beat smq's best by more than smq's own max-min
-// spread; the fastest such preset wins. The same runs under `--dispatch
-// virtual` (batch size 1) must not show the preset losing to smq by
-// more than that spread, which moved rand bfs to "from 4t" (pmod-d4
-// 2010 ms vs smq 574 ms at 1t there). Every other key runs smq,
+// spread; the fastest such preset wins. The same runs at `--batch-size
+// 1` must not show the preset losing to smq by more than that spread,
+// which moved rand bfs to "from 4t" (pmod-d4 2010 ms vs smq 574 ms at
+// 1t there). Every other key runs smq,
 // including every 2-3 thread count below a "from 4t" row. obim-d4 was
 // left out of rmat sssp/astar: it needs 21 GiB and 15 s at 1t there.
 // The SMQ could not steal when these were measured (see ROADMAP).

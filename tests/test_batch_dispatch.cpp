@@ -94,14 +94,14 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
     ASSERT_NE(entry, nullptr) << name;
     const unsigned threads = effective_threads(*entry, 4);
 
-    // Virtual.
+    // Erased, one task per handle call.
     {
       AnyScheduler sched = entry->make(threads, params);
       const AlgoResult result = algo->run(graph, sched, threads, params, &ref);
       EXPECT_TRUE(result.validated && result.valid) << name << " virtual";
       EXPECT_EQ(result.answer, ref.reference_answer) << name << " virtual";
     }
-    // Batched (awkward batch size on purpose).
+    // Erased, batched (awkward batch size on purpose).
     {
       ParamMap batched = params;
       batched.set("batch-size", "13");
@@ -169,7 +169,7 @@ TEST(BatchDispatch, BatchedExecutorTerminatesAtAwkwardBatchSizes) {
   for (std::uint64_t level = 0; level <= kDepth; ++level, power *= kFanout) {
     expected += power;
   }
-  // 1 = classic loop; 3 = flushes mid-task; 27 = exact multiple of the
+  // 1 = one task per handle call; 3 = flushes mid-task; 27 = exact multiple of the
   // fanout; 100000 = larger than the whole task graph (single flush).
   for (const std::size_t batch_size : {1ul, 3ul, 27ul, 100000ul}) {
     for (const char* name : {"smq", "mq-opt", "obim", "chunk-bag"}) {
@@ -182,9 +182,8 @@ TEST(BatchDispatch, BatchedExecutorTerminatesAtAwkwardBatchSizes) {
 }
 
 TEST(BatchDispatch, BatchedPushesCountedOncePerTask) {
-  // The batched context must report the same per-task push/pop stats as
-  // the per-task loop even though the pending counter is updated once
-  // per flush.
+  // The task context must report per-task push/pop stats even though
+  // the pending counter is updated once per flush.
   AnyScheduler sched = SchedulerRegistry::instance().create("smq", 2, {});
   std::vector<Task> seeds;
   for (std::uint64_t i = 0; i < 50; ++i) seeds.push_back(Task{i, i});

@@ -119,8 +119,8 @@ TEST(HandleApi, TidOnlySchedulerRunsThroughTheShim) {
 }
 
 TEST(HandleApi, TidOnlySchedulerRunsUnderBothExecutorLoops) {
-  // The executor must drive a pre-handle scheduler through the shim in
-  // both the per-task and the batched loop.
+  // The executor must drive a pre-handle scheduler through the shim at
+  // one task per handle call and at a real batch.
   for (const std::size_t batch_size : {1ul, 8ul}) {
     MinimalTidScheduler sched(2);
     std::vector<Task> seeds;

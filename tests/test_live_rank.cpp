@@ -9,6 +9,7 @@
 #include "queues/reld.h"
 #include "queues/sequential_scheduler.h"
 #include "queues/spraylist.h"
+#include "registry/any_scheduler.h"
 
 namespace smq {
 namespace {
@@ -73,6 +74,23 @@ TEST(LiveRank, SprayListRelaxedButBounded) {
   const LiveRankResult r = measure_live_rank(spray, kElements);
   EXPECT_EQ(r.pops, kElements);
   EXPECT_LT(r.mean_rank, static_cast<double>(kElements) / 8);
+}
+
+/// The erased boundary adds no behaviour: the same seeded SMQ probed
+/// directly and through its AnyScheduler wrapper pops in the same order.
+TEST(LiveRank, AnySchedulerWrapperMatchesConcreteSmq) {
+  const SmqConfig cfg{.steal_size = 4, .p_steal = 0.25, .seed = 9};
+  StealingMultiQueue<> concrete(4, cfg);
+  const LiveRankResult direct = measure_live_rank(concrete, kElements, 3);
+
+  AnyScheduler erased = AnyScheduler::make<StealingMultiQueue<>>(4u, cfg);
+  const LiveRankResult wrapped = measure_live_rank(erased, kElements, 3);
+
+  EXPECT_EQ(direct.pops, kElements);
+  EXPECT_EQ(wrapped.pops, direct.pops);
+  EXPECT_EQ(wrapped.mean_rank, direct.mean_rank);
+  EXPECT_EQ(wrapped.max_rank, direct.max_rank);
+  EXPECT_GT(direct.mean_rank, 0.0);  // a relaxed order, not a trivial one
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -265,6 +267,86 @@ TEST(SuiteRunner, RunGridParamsWinOverCliTunables) {
   // completing validly (and the suite exiting 0) shows the row params
   // were applied over the CLI conflict rather than dropped.
   EXPECT_NE(out.str().find("mq-opt (TL/B)"), std::string::npos);
+}
+
+// ---- dispatch flag and row labels -----------------------------------------
+
+ArgParser parse_argv(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "smq_run");
+  return ArgParser(static_cast<int>(argv.size()),
+                   const_cast<char**>(argv.data()));
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The erased path has one loop, so the old loop names are gone: they
+/// must fail and point at the knob that replaced them.
+TEST(DispatchFlag, OldLoopNamesAreRejectedNamingBatchSize) {
+  for (const char* mode : {"virtual", "batched"}) {
+    std::ostringstream err;
+    EXPECT_EQ(parse_static_dispatch(parse_argv({"--dispatch", mode}), err),
+              std::nullopt)
+        << mode;
+    EXPECT_NE(err.str().find("--batch-size"), std::string::npos)
+        << mode << ": " << err.str();
+  }
+  std::ostringstream err;
+  EXPECT_EQ(parse_static_dispatch(parse_argv({"--dispatch", "static"}), err),
+            std::optional<bool>(true));
+  EXPECT_EQ(parse_static_dispatch(parse_argv({"--batch-size", "64"}), err),
+            std::optional<bool>(false));
+  EXPECT_TRUE(err.str().empty()) << err.str();
+}
+
+TEST(DispatchFlag, LabelsFollowBatchSizeAndStaticDispatch) {
+  ParamMap params;
+  EXPECT_EQ(dispatch_label(false, params), "virtual");
+  EXPECT_EQ(dispatch_label(true, params), "static");
+  params.set("batch-size", "1");
+  EXPECT_EQ(dispatch_label(false, params), "virtual");
+  params.set("batch-size", "2");
+  EXPECT_EQ(dispatch_label(false, params), "batched");
+  params.set("batch-size", "64");
+  EXPECT_EQ(dispatch_label(false, params), "batched");
+  EXPECT_EQ(dispatch_label(true, params), "static");
+}
+
+/// Every JSON "dispatch" key of a suite run (the report's and each
+/// row's, which the perf gate keys baselines on) carries the label.
+TEST(DispatchFlag, SuiteJsonRowsCarryTheDerivedLabel) {
+  const SuiteDef* suite = find_suite("table2_3");
+  ASSERT_NE(suite, nullptr);
+  struct Case {
+    bool static_dispatch;
+    const char* batch_size;
+    std::string label;
+  };
+  for (const Case& c : {Case{false, "1", "virtual"},
+                        Case{false, "8", "batched"},
+                        Case{true, "8", "static"}}) {
+    SuiteOptions opts;
+    opts.threads = {2};
+    opts.static_dispatch = c.static_dispatch;
+    opts.cli_params.set("vertices", "300");
+    opts.cli_params.set("batch-size", c.batch_size);
+    opts.json_path = "-";
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(run_suite(*suite, opts, out, err), 0) << err.str();
+    const std::string text = out.str();
+    EXPECT_EQ(count_of(text, "\"dispatch\": \"" + c.label + "\""),
+              suite->runs.size() + 1)
+        << c.label;
+    EXPECT_EQ(count_of(text, "\"dispatch\": "), suite->runs.size() + 1)
+        << c.label;
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //   smq_run --sched smq --algo sssp --graph rand --threads 8
 //   smq_run --sched all --algo sssp --graph road --vertices 20000
 //           --threads 1,4 --reps 3 --json results.json
-//   smq_run --sched smq,mq-opt --dispatch static --graph-cache /tmp/graphs
+//   smq_run --sched smq,mq-opt --batch-size 64 --graph-cache /tmp/graphs
 //   smq_run --sched smq --algo sssp --numa-grid nodes=1,2,4:k=1,4,8,16
 //   smq_run --suite fig3_6 --threads 4 --json fig3_6.json
 //
@@ -26,12 +26,12 @@
 // every row reports the measured remote-access fraction next to the
 // analytic expectation E.
 //
-// --dispatch selects how the executor crosses the scheduler boundary:
-//   virtual  one AnyScheduler virtual call per push/pop (default)
-//   batched  one virtual call per task batch (--batch-size, default 64)
-//   static   directly instantiated concrete scheduler, no erasure
-//            (hot config families and their presets — see
-//            static_dispatch.h; others fall back to virtual and say so)
+// Every run goes through the executor's one batched loop, behind
+// AnyScheduler's erased per-thread handle: --batch-size N (default 1)
+// sets the tasks per handle call, and rows are labelled `virtual` at 1
+// and `batched` above it. --dispatch static instead instantiates the
+// concrete scheduler directly, with no erasure (hot config families and
+// their presets — see static_dispatch.h; others run erased and say so).
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -46,7 +46,6 @@
 #include "registry/numa_grid.h"
 #include "registry/scheduler_registry.h"
 #include "registry/service_factory.h"
-#include "registry/static_dispatch.h"
 #include "registry/suite_runner.h"
 #include "registry/suites.h"
 #include "service/service_driver.h"
@@ -274,8 +273,8 @@ int run(int argc, char** argv) {
            "[--algo NAME]\n"
            "               [--graph NAME] [--threads N[,N...]] [--reps N] "
            "[--json PATH|-]\n"
-           "               [--no-validate] [--dispatch "
-           "virtual|batched|static] [--batch-size N]\n"
+           "               [--no-validate] [--batch-size N] "
+           "[--dispatch static]\n"
            "               [--numa-grid nodes=N,..:k=K,..] "
            "[--graph-cache DIR]\n"
            "               [--service [--qps R] [--queries N] [--lanes N] "
@@ -285,12 +284,12 @@ int run(int argc, char** argv) {
            "prints a table\nplus optional JSON. `--list` shows every "
            "registered scheduler, algorithm,\ngraph source and figure suite "
            "with its tunables. `--suite` expands one of\nthe paper's figure "
-           "sweeps over its scheduler presets. `--dispatch` picks\nthe "
-           "scheduler-boundary mode (virtual erasure, batched erasure, or "
-           "concrete\nstatic instantiation); `--graph-cache DIR` caches "
-           "generated graphs as binary\nCSR keyed by their parameters so "
-           "repeated sweeps skip generation;\n`--numa-grid` crosses the "
-           "sweep with simulated-NUMA grid points (nodes x K),\neach row "
+           "sweeps over its scheduler presets. `--batch-size N` sets\nthe "
+           "tasks per scheduler call (default 1); `--dispatch static` runs "
+           "the\nconcrete scheduler without type erasure; `--graph-cache DIR` "
+           "caches generated\ngraphs as binary CSR keyed by their parameters so "
+           "repeated sweeps skip\ngeneration; `--numa-grid` crosses the "
+           "sweep with simulated-NUMA grid points\n(nodes x K), each row "
            "reporting its measured remote-access fraction.\n\n"
            "`--sched auto` picks, per thread count, the compiled-in row for "
            "this (graph\nclass, algorithm) with the largest min_threads <= "
@@ -314,7 +313,7 @@ int run(int argc, char** argv) {
 
   // ---- service mode ----------------------------------------------------
   // A persistent worker pool serving the query stream; none of the
-  // sweep axes below (dispatch modes, numa grids) apply to it.
+  // sweep axes below (static dispatch, numa grids) apply to it.
   if (args.has_flag("service")) {
     if (args.has_flag("suite") || args.has_flag("numa-grid")) {
       std::cerr << "--service cannot be combined with --suite or "
@@ -347,11 +346,10 @@ int run(int argc, char** argv) {
 
   ParamMap params = ParamMap::from_args(args);
 
-  // ---- dispatch mode ---------------------------------------------------
-  const std::optional<DispatchMode> dispatch =
-      resolve_dispatch_mode(args, params, std::cerr);
-  if (!dispatch) return 2;
-  const DispatchMode mode = *dispatch;
+  // ---- dispatch ----------------------------------------------------------
+  const std::optional<bool> want_static =
+      parse_static_dispatch(args, std::cerr);
+  if (!want_static) return 2;
 
   // ---- resolve the three registry axes --------------------------------
   const std::string algo_name = args.get("algo", "sssp");
@@ -430,25 +428,22 @@ int run(int argc, char** argv) {
     auto_cls = tuning::fingerprint_graph(*graph.graph).cls;
   }
 
-  std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
-            << " vertices, " << graph.graph->num_edges() << " edges)\n"
-            << "algorithm: " << algo_name << "\n"
-            << "dispatch: " << to_string(mode);
-  if (mode == DispatchMode::kBatched) {
-    std::cout << " (batch-size " << params.get("batch-size") << ")";
-  }
-  std::cout << "\n";
-  if (grid_active) {
-    std::cout << "numa grid: " << numa_grid_spec << " (" << numa_grid.size()
-              << " points)\n";
-  }
-
   SweepReport report;
   report.algorithm = algo_name;
   report.graph = graph;
   report.params = params;
-  report.dispatch = mode;
+  report.dispatch = dispatch_label(*want_static, params);
   report.numa_grid_spec = numa_grid_spec;
+
+  std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
+            << " vertices, " << graph.graph->num_edges() << " edges)\n"
+            << "algorithm: " << algo_name << "\n"
+            << "dispatch: " << report.dispatch << " (batch-size "
+            << params.get("batch-size", "1") << ")\n";
+  if (grid_active) {
+    std::cout << "numa grid: " << numa_grid_spec << " (" << numa_grid.size()
+              << " points)\n";
+  }
 
   // ---- sequential oracle ----------------------------------------------
   AlgoReference reference;
@@ -466,22 +461,17 @@ int run(int argc, char** argv) {
   for (const std::string& name : sched_names) {
     if (is_auto_sched(name)) {
       // One resolution per thread count; the row runs the
-      // resolved preset under whatever dispatch mode was requested
-      // (virtual, batched, or static — same paths as naming it by
-      // hand) and carries the provenance into table/JSON.
+      // resolved preset on the requested path (erased or static — same
+      // as naming it by hand) and carries the provenance into
+      // table/JSON.
       for (const unsigned requested : thread_counts) {
         const unsigned want = requested == 0 ? 1 : requested;
         const tuning::AutoSelection sel =
             tuning::select_scheduler(auto_cls, algo_name, want);
         const SchedulerEntry* entry =
             SchedulerRegistry::instance().find(sel.preset);
-        DispatchMode row_dispatch = mode;
-        if (row_dispatch == DispatchMode::kStatic &&
-            !has_static_dispatch(sel.preset)) {
-          std::cerr << "note: no static dispatch entry for '" << sel.preset
-                    << "'; running it virtual\n";
-          row_dispatch = DispatchMode::kVirtual;
-        }
+        const bool row_static =
+            row_dispatch_static(*want_static, sel.preset, std::cerr);
         std::cout << tuning::describe_selection(sel, algo_name, want) << "\n";
         SweepRow row;
         row.label = name;
@@ -491,11 +481,11 @@ int run(int argc, char** argv) {
         row.auto_why = sel.why;
         row.requested_threads = requested;
         row.threads = effective_threads(*entry, requested);
-        row.dispatch = row_dispatch;
+        row.dispatch = dispatch_label(row_static, params);
         row.reps = std::max(1, reps);
         row.result =
             measure_sweep_row(*entry, sel.preset, *algo, algo_name, graph,
-                              row.threads, params, row_dispatch,
+                              row.threads, params, row_static,
                               report.reference, reps);
         if (row.result.validated && !row.result.valid) any_invalid = true;
         report.rows.push_back(std::move(row));
@@ -504,14 +494,8 @@ int run(int argc, char** argv) {
     }
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     // Static dispatch covers the hot config families (and their presets)
-    // only; anything else keeps its uniform virtual path (and the row
-    // says so).
-    DispatchMode row_dispatch = mode;
-    if (row_dispatch == DispatchMode::kStatic && !has_static_dispatch(name)) {
-      std::cerr << "note: no static dispatch entry for '" << name
-                << "'; running it virtual\n";
-      row_dispatch = DispatchMode::kVirtual;
-    }
+    // only; anything else keeps its uniform erased path (and says so).
+    const bool row_static = row_dispatch_static(*want_static, name, std::cerr);
     // Schedulers that do not take the `numa` tunable (their factories
     // ignore it) run once, not once per grid point — rows claiming a
     // topology that never applied would poison the trajectory.
@@ -540,7 +524,7 @@ int run(int argc, char** argv) {
         row.scheduler = name;
         row.requested_threads = requested;
         row.threads = threads;
-        row.dispatch = row_dispatch;
+        row.dispatch = dispatch_label(row_static, run_params);
         row.numa = apply_grid ? point : NumaGridPoint{};
         // The topology clamps nodes to the thread count (no empty
         // nodes); report the configuration that actually ran, so the
@@ -550,7 +534,7 @@ int run(int argc, char** argv) {
         row.reps = std::max(1, reps);
         row.result =
             measure_sweep_row(*entry, name, *algo, algo_name, graph, threads,
-                              run_params, row_dispatch, report.reference, reps);
+                              run_params, row_static, report.reference, reps);
         if (row.result.validated && !row.result.valid) any_invalid = true;
         report.rows.push_back(std::move(row));
       }
