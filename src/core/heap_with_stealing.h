@@ -32,7 +32,8 @@ class HeapWithStealingBuffer {
   // ---- owner-only interface -------------------------------------------
 
   /// addLocal(task): push into the local queue; refill the buffer if its
-  /// previous batch was stolen, so the queue stays visible to stealers.
+  /// previous batch was stolen (or never published), so the queue stays
+  /// visible to stealers.
   void add_local(Task task) {
     heap_.push(task);
     if (buffer_.is_stolen()) fill_buffer();
@@ -97,6 +98,9 @@ class HeapWithStealingBuffer {
  private:
   /// fillBuffer(): move up to SIZE_steal best tasks from the local queue
   /// into the buffer and republish. Requires the stolen flag to be set.
+  /// An empty local queue publishes nothing: publishing clears the stolen
+  /// flag, and with it the only trigger for the next refill, so an empty
+  /// batch would hide every later push from stealers for good.
   void fill_buffer() {
     scratch_.clear();
     for (std::size_t i = 0; i < buffer_.capacity(); ++i) {
@@ -104,6 +108,7 @@ class HeapWithStealingBuffer {
       if (!t) break;
       scratch_.push_back(*t);
     }
+    if (scratch_.empty()) return;
     buffer_.publish(scratch_.data(), scratch_.size());
   }
 

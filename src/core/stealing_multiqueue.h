@@ -91,28 +91,26 @@ class StealingMultiQueue {
     /// delete(): stolen-task buffer, then probabilistic steal, then the
     /// local queue, then a forced steal (paper Listing 2, lines 9-24).
     std::optional<Task> try_pop() {
-      Local& me = *me_;
-      if (me.next_stolen < me.stolen_tasks.size()) {
-        return me.stolen_tasks[me.next_stolen++];
-      }
-      if (me.rng.next_bool(sched_->cfg_.p_steal)) {
-        if (std::optional<Task> task = sched_->try_steal(tid_, me)) return task;
-      }
-      if (std::optional<Task> task = sched_->extract_top_local(me)) return task;
-      return sched_->try_steal(tid_, me);  // local queue drained
+      if (std::optional<Task> task = pop_before_forced_steal()) return task;
+      return sched_->try_steal(tid_, *me_);  // local queue drained
     }
 
-    /// Bulk extract: hand out the remainder of the last stolen batch
-    /// wholesale (instead of dribbling it through per-pop calls), then
-    /// top up from the usual pop path.
+    /// Bulk extract: try_pop() repeated, except that the forced steal is
+    /// taken only for a batch's first task. A batch that already holds
+    /// work returns short once the stolen-task buffer and the local queue
+    /// are dry, rather than taking a victim's batch to top itself up: on
+    /// a narrow frontier that would pull the other threads' work over on
+    /// almost every call.
     std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
-      Local& me = *me_;
       std::size_t taken = 0;
-      while (taken < max && me.next_stolen < me.stolen_tasks.size()) {
-        out.push_back(me.stolen_tasks[me.next_stolen++]);
+      while (taken < max) {
+        std::optional<Task> task =
+            taken == 0 ? try_pop() : pop_before_forced_steal();
+        if (!task) break;
+        out.push_back(*task);
         ++taken;
       }
-      return taken + handle_pop_loop(*this, out, max - taken);
+      return taken;
     }
 
     /// Inserts are purely local and immediately poppable; nothing to
@@ -130,6 +128,19 @@ class StealingMultiQueue {
     unsigned thread_id() const noexcept { return tid_; }
 
    private:
+    /// try_pop() up to, not including, the forced steal: stolen-task
+    /// buffer, probabilistic steal, local queue.
+    std::optional<Task> pop_before_forced_steal() {
+      Local& me = *me_;
+      if (me.next_stolen < me.stolen_tasks.size()) {
+        return me.stolen_tasks[me.next_stolen++];
+      }
+      if (me.rng.next_bool(sched_->cfg_.p_steal)) {
+        if (std::optional<Task> task = sched_->try_steal(tid_, me)) return task;
+      }
+      return sched_->extract_top_local(me);
+    }
+
     StealingMultiQueue* sched_;
     Local* me_;
     unsigned tid_;

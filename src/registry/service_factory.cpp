@@ -1,5 +1,6 @@
 #include "registry/service_factory.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -31,6 +32,21 @@ unsigned service_effective_threads(std::string_view sched_name,
   return effective_threads(*entry, requested);
 }
 
+ParamMap service_params(std::string_view sched_name, const ParamMap& params) {
+  if (params.has("p-steal")) return params;
+  const SchedulerEntry* entry =
+      SchedulerRegistry::instance().find(sched_name);
+  if (entry == nullptr ||
+      std::ranges::none_of(entry->tunables, [](const Tunable& t) {
+        return t.name == "p-steal";
+      })) {
+    return params;
+  }
+  ParamMap resolved = params;
+  resolved.set("p-steal", "0");
+  return resolved;
+}
+
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
@@ -44,8 +60,8 @@ std::unique_ptr<QueryService> make_service(std::string_view sched_name,
   }
   const unsigned workers = service_effective_threads(resolved, threads);
   opts.weight_scale = graph.weight_scale;
-  AnyScheduler sched =
-      SchedulerRegistry::instance().create(resolved, workers, params);
+  AnyScheduler sched = SchedulerRegistry::instance().create(
+      resolved, workers, service_params(resolved, params));
   return std::make_unique<SchedulerService<AnyScheduler>>(
       graph.graph, workers, opts, std::move(sched));
 }

@@ -20,11 +20,20 @@ namespace smq {
 /// coordinates and plain SSSP otherwise.
 std::string_view service_auto_algorithm(const GraphInstance& graph);
 
+/// The scheduler params a service runs `sched_name` with: `params`, plus
+/// `p-steal` 0 when the entry exposes that knob (smq, smq-skiplist) and
+/// the caller left it unset. Tasks of different queries carry priorities
+/// that are not comparable, so the probabilistic "steal when the victim's
+/// top beats mine" only moves work between workers; the forced steal of
+/// an idle worker still balances the load. Presets that pin p-steal keep
+/// their value.
+ParamMap service_params(std::string_view sched_name, const ParamMap& params);
+
 /// Build a running service for `sched_name` x `threads` over `graph`.
 /// The worker count is clamped to the scheduler's thread capacity
 /// (effective_threads), the heuristic scale comes from the graph
-/// instance, and `params` reaches the scheduler factory untouched —
-/// presets resolve exactly as in a sweep. "auto" resolves through the
+/// instance, and the scheduler is built from service_params() — presets
+/// otherwise resolve exactly as in a sweep. "auto" resolves through the
 /// compiled-in auto rows first, keyed on service_auto_algorithm.
 /// Throws std::invalid_argument on an unknown scheduler.
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,

@@ -20,27 +20,20 @@ namespace {
 // 1t there). Every other key runs smq,
 // including every 2-3 thread count below a "from 4t" row. obim-d4 was
 // left out of rmat sssp/astar: it needs 21 GiB and 15 s at 1t there.
-// The SMQ could not steal when these were measured (see ROADMAP).
+// The SMQ could not steal when these bfs rows were measured (see
+// ROADMAP). Once it could, the same rule deleted every sssp and astar
+// row: at 4t smq beat their preset, mq-opt-full, on all three graphs at
+// batch sizes 64 and 1 (best of 5 at batch 64: road sssp 62 vs 94 ms,
+// astar 66 vs 86; rand sssp 253 vs 320, astar 98 vs 154; rmat sssp 174
+// vs 266, astar 190 vs 253).
 constexpr AutoRow kRows[] = {
-    {GraphClass::kRoad, "astar", 4, "mq-opt-full",
-     "road 1M @4t: 60.5 ms vs smq 151.1 ms (smq spread 59.7)"},
     {GraphClass::kRoad, "bfs", 1, "pmod-d4",
      "road 1M @1t: 71.8 ms vs smq 131.6 (spread 44.5); "
      "@4t: 41.0 vs 140.7 (spread 36.9)"},
-    {GraphClass::kRoad, "sssp", 4, "mq-opt-full",
-     "road 1M @4t: 81.9 ms vs smq 148.9 ms (smq spread 66.8)"},
-    {GraphClass::kUniform, "astar", 4, "mq-opt-full",
-     "rand 1M/8M @4t: 106.9 ms vs smq 339.3 ms (smq spread 118.5)"},
     {GraphClass::kUniform, "bfs", 4, "pmod-d4",
      "rand 1M/8M @4t: 56.2 ms vs smq 370.7 ms (smq spread 126.9)"},
-    {GraphClass::kUniform, "sssp", 4, "mq-opt-full",
-     "rand 1M/8M @4t: 251.3 ms vs smq 787.8 ms (smq spread 349.5)"},
-    {GraphClass::kSocial, "astar", 4, "mq-opt-full",
-     "rmat 20 @4t: 189.7 ms vs smq 617.6 ms (smq spread 91.2)"},
     {GraphClass::kSocial, "bfs", 4, "pmod-d4",
      "rmat 20 @4t: 59.8 ms vs smq 228.7 ms (smq spread 65.8)"},
-    {GraphClass::kSocial, "sssp", 4, "mq-opt-full",
-     "rmat 20 @4t: 184.0 ms vs smq 548.4 ms (smq spread 240.1)"},
 };
 
 }  // namespace

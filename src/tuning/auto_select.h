@@ -57,7 +57,7 @@ AutoSelection select_scheduler(const GraphInstance& graph,
                                std::string_view algorithm, unsigned threads);
 
 /// One-line provenance note, printed by drivers before running:
-/// "auto: sssp @ 4t on road graph -> mq-opt-full [exact] — ...".
+/// "auto: bfs @ 4t on road graph -> pmod-d4 [exact] — ...".
 std::string describe_selection(const AutoSelection& sel,
                                std::string_view algorithm, unsigned threads);
 

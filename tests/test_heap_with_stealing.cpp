@@ -93,6 +93,24 @@ TYPED_TEST(HeapWithStealingTyped, RefillAfterStealExposesNextBatch) {
   }
 }
 
+TYPED_TEST(HeapWithStealingTyped, ChildrenOfAReclaimedSeedStayStealable) {
+  // The single-source shape of every graph run: the owner reclaims its
+  // only task, leaving the local queue empty, then pushes children.
+  HeapWithStealingBuffer<TypeParam> q(4);
+  q.add_local(Task{0, 0});
+  ASSERT_EQ(q.classify_pop(), OwnerPopSource::kBuffer);
+  std::vector<Task> seed;
+  ASSERT_EQ(q.reclaim_buffer(seed), 1u);
+  EXPECT_EQ(q.classify_pop(), OwnerPopSource::kEmpty);
+  for (std::uint64_t p = 1; p <= 5; ++p) q.add_local(Task{p, p});
+  // An empty refill must not have been published: the children reach
+  // the buffer, where another thread can see and steal them.
+  EXPECT_EQ(q.steal_top_priority(), 1u);
+  std::vector<Task> stolen;
+  ASSERT_GT(q.try_steal(stolen), 0u);
+  EXPECT_EQ(stolen.front().priority, 1u);
+}
+
 TYPED_TEST(HeapWithStealingTyped, StealSizeOneBehavesLikeSingleTask) {
   HeapWithStealingBuffer<TypeParam> q(1);
   q.add_local(Task{4, 4});

@@ -326,6 +326,18 @@ TEST(ServiceFactory, UnknownSchedulerThrows) {
   EXPECT_THROW(service_effective_threads("nope", 2), std::invalid_argument);
 }
 
+TEST(ServiceFactory, SmqFamiliesDefaultToNoProbabilisticSteal) {
+  EXPECT_EQ(service_params("smq", ParamMap{}).get("p-steal"), "0");
+  EXPECT_EQ(service_params("smq-skiplist", ParamMap{}).get("p-steal"), "0");
+  // A caller's value wins; presets that pin p-steal keep their own (the
+  // registry forces pinned knobs); schedulers without the knob get none.
+  EXPECT_EQ(service_params("smq", params_of({{"p-steal", "1/8"}}))
+                .get("p-steal"),
+            "1/8");
+  EXPECT_FALSE(service_params("smq-p8", ParamMap{}).has("p-steal"));
+  EXPECT_FALSE(service_params("mq-opt", ParamMap{}).has("p-steal"));
+}
+
 TEST(ServiceFactory, StressManyShortQueries) {
   // The TSan-gated stress: small graph, many short queries, more lanes
   // than workers, submissions racing completions.

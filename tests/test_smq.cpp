@@ -153,6 +153,37 @@ TYPED_TEST(SmqTyped, StolenBufferConsumedBeforeNewSteals) {
   EXPECT_EQ(smq.steals(1), steals_before);
 }
 
+TYPED_TEST(SmqTyped, ChildrenOfAReclaimedSeedAreStolen) {
+  // Single-source seeding: thread 0 pops its only task (reclaiming the
+  // seed batch), then pushes the children; thread 1, with nothing of its
+  // own, must be able to take them.
+  TypeParam smq(2, {.steal_size = 4, .p_steal = 0.0});
+  smq.push(0, Task{0, 0});
+  ASSERT_EQ(smq.try_pop(0)->priority, 0u);
+  for (std::uint64_t p = 1; p <= 5; ++p) smq.push(0, Task{p, p});
+  const auto stolen = smq.try_pop(1);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->priority, 1u);
+  EXPECT_EQ(smq.steals(1), 1u);
+}
+
+TYPED_TEST(SmqTyped, BatchPopForcesAStealOnlyForItsFirstTask) {
+  TypeParam smq(2, {.steal_size = 4, .p_steal = 0.0});
+  smq.push(1, Task{10, 10});  // thread 1 publishes {10}
+  smq.push(0, Task{1, 1});
+  smq.push(0, Task{2, 2});
+  // With local work, the batch stops when the local queue runs dry
+  // instead of topping itself up from thread 1.
+  std::vector<Task> out;
+  EXPECT_EQ(smq.try_pop_batch(0, out, 8), 2u);
+  EXPECT_EQ(smq.steals(0), 0u);
+  // With nothing local, the batch's first pop still steals.
+  out.clear();
+  ASSERT_EQ(smq.try_pop_batch(0, out, 8), 1u);
+  EXPECT_EQ(out.front().priority, 10u);
+  EXPECT_EQ(smq.steals(0), 1u);
+}
+
 TEST(SmqConfigTest, DefaultsMatchPaper) {
   const SmqConfig cfg;
   EXPECT_EQ(cfg.steal_size, 4u);
