@@ -29,6 +29,9 @@ struct QueryResult {
   /// submit() to completion, queue wait included — the latency a client
   /// of the service observes, not just execution time.
   double latency_seconds = 0;
+  /// submit() to admission into a lane: the queue-wait share of
+  /// latency_seconds (0 for a query answered without a lane).
+  double wait_seconds = 0;
   std::uint64_t tasks = 0;   // tasks executed for this query
   std::uint64_t wasted = 0;  // stale/pruned tasks among them
 };

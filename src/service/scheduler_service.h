@@ -6,34 +6,50 @@
 // paying thread spawn/join plus an O(V) distance-array reset per query
 // would swamp the scheduler the paper actually evaluates. This pool
 // inverts the lifetime: workers are spawned once, each acquires its
-// S::Handle once and holds it across queries (the PR 5 handle API's
-// whole point — per-thread scheduler state persists), and they park on a
+// S::Handle once and holds it across queries (the handle API's whole
+// point — per-thread scheduler state persists), and they park on a
 // condition variable when the service is idle. Per-query state is a
 // "lane": an epoch-versioned label array (versioned_labels.h) plus the
 // query's control block, so starting a query is O(1), not O(V).
 //
-// Concurrency protocol, layered over the executor's:
+// Concurrency protocol, layered over the executor's. Like SMQ's own
+// batched insert and delete, the bookkeeping is paid per popped batch,
+// not per task:
 //  * Global termination counter `pending_` works exactly as in
 //    worker_loop: count before visible, retire after flush. Here it
 //    never signals exit (the pool is long-lived) — it gates *parking*:
 //    a worker may only park when a flush-then-check sees zero.
-//  * Each query's Job carries its own pending count (seed = 1; children
-//    counted before they are buffered, parents retired only after the
-//    batch flush). The worker that retires a job's last task completes
-//    the query: reads the result off the lane, records latency, frees
-//    the lane, fulfils the promise.
-//  * Admission is worker-side only. submit() enqueues under the mutex
-//    and wakes the pool; a worker with nothing to pop claims queued
-//    queries for free lanes and seeds them through its own handle's
-//    push_batch — the same amortized hot path batched runs use. Client
-//    threads never touch scheduler handles (handles are single-owner).
+//  * Each query's Job carries its own pending count (seed = 1). A worker
+//    runs its whole popped batch into one push buffer while tallying,
+//    per lane the batch touched, the children, executed and wasted
+//    tasks. Before the batch's single push_batch it adds each lane's
+//    child count to that job's pending (one fetch_add per lane); after
+//    the push it adds executed/wasted once per lane and retires the
+//    lane's executed count with one acq_rel fetch_sub. The worker whose
+//    fetch_sub reaches zero completes the query: reads the result off
+//    the lane and records latency.
+//  * One critical section per completion batch: the batch's completed
+//    lanes go back on the free list and queued queries are admitted
+//    into free lanes under a single acquisition of mutex_. Admission is
+//    worker-side only: a worker seeds the admitted queries through its
+//    own handle's push_batch — the same hot path batched runs use.
+//    Client threads never touch scheduler handles (handles are
+//    single-owner). An idle worker admits the same way.
+//  * Wake only parked workers. A worker parks on cv_ only after
+//    checking, under mutex_, that there is no in-flight work, no stop
+//    request and no admissible (queued query x free lane) pair, and it
+//    is counted in `parked_` while it waits. submit() and admission
+//    read `parked_` in the same critical section that publishes their
+//    work and notify only when it is non-zero. Admission adds the seeds
+//    to `pending_` inside that section, so a worker about to park either
+//    sees the new work or is already counted and gets notified.
 //  * Lane reuse is ABA-safe without tagged pointers: a task referencing
 //    lane L implies its job's pending > 0, which blocks completion and
 //    therefore reuse of L until that task retires. Workers resolve
-//    lane -> Job via an acquire load paired with the admission-side
-//    release store; the scheduler's own push/pop synchronization (which
-//    must already publish the task bytes) carries the edge across
-//    threads.
+//    lane -> Job once per lane per batch via an acquire load paired
+//    with the admission-side release store; the scheduler's own
+//    push/pop synchronization (which must already publish the task
+//    bytes) carries the edge across threads.
 #pragma once
 
 #include <atomic>
@@ -156,6 +172,7 @@ class SchedulerService final : public QueryService {
       job->promise.set_value(r);
       return ticket;
     }
+    bool wake = false;
     {
       MutexLock lk(mutex_);
       if (!accepting_) {
@@ -163,8 +180,9 @@ class SchedulerService final : public QueryService {
       }
       queue_.push_back(std::move(job));
       queued_.fetch_add(1, std::memory_order_relaxed);
+      wake = parked_ > 0;
     }
-    cv_.notify_all();
+    if (wake) cv_.notify_all();
     return ticket;
   }
 
@@ -196,8 +214,8 @@ class SchedulerService final : public QueryService {
 
     const Query query;
     const Clock::time_point submitted;
-    unsigned lane = 0;
     std::uint64_t epoch = 0;
+    double wait_seconds = 0;  // submit() to admission
     std::promise<QueryResult> promise;
     /// Unretired tasks of this query; the seed counts 1. Zero =>
     /// the query's task graph has drained (same protocol as the
@@ -219,9 +237,29 @@ class SchedulerService final : public QueryService {
     std::shared_ptr<Job> owner;
   };
 
+  /// One lane's share of a popped batch, settled against its job's
+  /// atomics once per batch.
+  struct LaneTally {
+    Job* job = nullptr;
+    std::uint64_t executed = 0;
+    std::uint64_t wasted = 0;
+    std::uint64_t children = 0;
+  };
+
   struct Completion {
-    std::shared_ptr<Job> job;
+    unsigned lane = 0;
     QueryResult result;
+    std::shared_ptr<Job> job;  // taken off the lane under mutex_
+  };
+
+  /// A worker's scratch, reused across batches.
+  struct WorkerScratch {
+    explicit WorkerScratch(unsigned lanes) : tally(lanes) {}
+    WorkerBuffers bufs;
+    std::vector<LaneTally> tally;  // indexed by lane id
+    std::vector<unsigned> touched;  // lanes with a non-empty tally
+    std::vector<Task> seeds;
+    std::vector<Completion> done;
   };
 
   static ServiceOptions normalize(ServiceOptions o, unsigned workers) {
@@ -255,39 +293,23 @@ class SchedulerService final : public QueryService {
     auto handle = handle_adapted(sched_, tid);
     ThreadStats& stats = stats_.of(tid);
     const std::size_t batch = opts_.batch_size;
-    WorkerBuffers bufs;
-    bufs.pop.reserve(batch);
-    TaskContext ctx(handle, pending_, stats, bufs.push, batch);
+    WorkerScratch s(opts_.lanes);
+    s.bufs.pop.reserve(batch);
     Backoff backoff;
-    std::vector<Task> seeds;
-    std::vector<Completion> done;
     while (true) {
-      bufs.pop.clear();
-      const std::size_t taken = handle.try_pop_batch(bufs.pop, batch);
+      s.bufs.pop.clear();
+      const std::size_t taken = handle.try_pop_batch(s.bufs.pop, batch);
       if (taken > 0) {
         backoff.reset();
         stats.pops += taken;
-        for (const Task& t : bufs.pop) execute_task(t, ctx);
-        // Children first (flush), then retire — a job's pending count
-        // must cover its still-buffered children, and the global
-        // counter must cover every lane until its tasks are retired.
-        ctx.flush();
-        for (const Task& t : bufs.pop) retire_task(t, done);
-        pending_.fetch_sub(static_cast<std::int64_t>(taken),
-                           std::memory_order_acq_rel);
-        if (!done.empty()) {
-          for (Completion& c : done) c.job->promise.set_value(c.result);
-          done.clear();
-          try_admit(handle, stats, seeds);  // reuse the freed lanes now
-        }
+        run_batch(handle, stats, s);
         continue;
       }
       ++stats.empty_pops;
-      // Publish buffered children and scheduler-internal inserts before
-      // trusting the pending counter (the executor's rule).
-      ctx.flush();
+      // Publish scheduler-internal inserts before trusting the pending
+      // counter (the executor's rule); run_batch leaves no child behind.
       handle.flush();
-      if (try_admit(handle, stats, seeds)) continue;
+      if (try_admit(handle, stats, s)) continue;
       if (pending_.load(std::memory_order_acquire) != 0) {
         backoff.pause();
         std::this_thread::yield();
@@ -298,7 +320,8 @@ class SchedulerService final : public QueryService {
       // work, or an admissible (queued query x free lane) pair — and is
       // written as an inline loop (not a wait(lk, pred) lambda) so the
       // thread-safety analysis sees the guarded reads under the held
-      // capability.
+      // capability. `parked_` tells submit() and admission that a
+      // notify is needed.
       //
       // Parking is the reclamation quiesce point: with no epoch guard
       // held, let the scheduler advance its epoch and drain this
@@ -309,7 +332,9 @@ class SchedulerService final : public QueryService {
         MutexLock lk(mutex_);
         while (!(stop_ || pending_.load(std::memory_order_acquire) != 0 ||
                  (!queue_.empty() && !free_lanes_.empty()))) {
+          ++parked_;
           cv_.wait(lk);
+          --parked_;
         }
         if (stop_ && queue_.empty() &&
             pending_.load(std::memory_order_acquire) == 0) {
@@ -320,81 +345,155 @@ class SchedulerService final : public QueryService {
     }
   }
 
-  template <typename Ctx>
-  void execute_task(const Task& task, Ctx& ctx) {
-    const unsigned lane_id = lane_of(task.payload);
+  /// Run one popped batch, then settle it: children counted per lane,
+  /// published with one push_batch, parents retired per lane, and the
+  /// queries that drained completed in one critical section.
+  template <typename H>
+  void run_batch(H& handle, ThreadStats& stats, WorkerScratch& s) {
+    std::vector<Task>& children = s.bufs.push;
+    for (const Task& t : s.bufs.pop) {
+      const unsigned lane_id = lane_of(t.payload);
+      LaneTally& tally = s.tally[lane_id];
+      if (tally.executed++ == 0) {
+        // Never null: an in-scheduler task keeps its job's pending > 0,
+        // which blocks completion (and lane reuse) until it retires —
+        // and this batch retires nothing before it is settled.
+        tally.job = lanes_[lane_id]->job.load(std::memory_order_acquire);
+        s.touched.push_back(lane_id);
+      }
+      execute_task(t, lane_id, tally, children);
+    }
+    // Children first: counted in their job and globally before any
+    // becomes visible, so neither count can dip to zero while work sits
+    // in this thread's buffer.
+    for (const unsigned lane_id : s.touched) {
+      const LaneTally& tally = s.tally[lane_id];
+      if (tally.children == 0) continue;
+      tally.job->pending.fetch_add(static_cast<std::int64_t>(tally.children),
+                                   std::memory_order_relaxed);
+    }
+    if (!children.empty()) {
+      stats.pushes += children.size();
+      pending_.fetch_add(static_cast<std::int64_t>(children.size()),
+                         std::memory_order_relaxed);
+      handle.push_batch(std::span<const Task>(children));
+      children.clear();
+    }
+    // Then retire. The acq_rel fetch_sub hands every earlier executed/
+    // wasted add of the job to whichever worker sees it reach zero.
+    for (const unsigned lane_id : s.touched) {
+      LaneTally& tally = s.tally[lane_id];
+      Job& job = *tally.job;
+      job.executed.fetch_add(tally.executed, std::memory_order_relaxed);
+      if (tally.wasted > 0) {
+        job.wasted.fetch_add(tally.wasted, std::memory_order_relaxed);
+        stats.wasted += tally.wasted;
+      }
+      const auto retired = static_cast<std::int64_t>(tally.executed);
+      if (job.pending.fetch_sub(retired, std::memory_order_acq_rel) == retired) {
+        s.done.push_back(harvest(lane_id, job));
+      }
+      tally = LaneTally{};
+    }
+    s.touched.clear();
+    pending_.fetch_sub(static_cast<std::int64_t>(s.bufs.pop.size()),
+                       std::memory_order_acq_rel);
+    if (!s.done.empty()) complete_and_admit(handle, stats, s);
+  }
+
+  void execute_task(const Task& task, unsigned lane_id, LaneTally& tally,
+                    std::vector<Task>& children) {
     const VertexId v = vertex_of(task.payload);
     Lane& lane = *lanes_[lane_id];
-    // Never null: an in-scheduler task keeps its job's pending > 0,
-    // which blocks completion (and lane reuse) until it retires.
-    Job* job = lane.job.load(std::memory_order_acquire);
+    Job& job = *tally.job;
     const std::uint64_t f = task.priority;
-    const std::uint64_t g = f - heuristic(v, job->query.target);
-    if (lane.labels.load(v, job->epoch) < g ||
-        f >= job->best_target.load(std::memory_order_relaxed)) {
-      ctx.mark_wasted();
-      job->wasted.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t g = f - heuristic(v, job.query.target);
+    if (lane.labels.load(v, job.epoch) < g ||
+        f >= job.best_target.load(std::memory_order_relaxed)) {
+      ++tally.wasted;
       return;
     }
     for (const Graph::Neighbor& n : graph_->neighbors(v)) {
       const std::uint64_t ng = g + n.weight;
-      if (!lane.labels.relax_min(n.to, ng, job->epoch)) continue;
-      if (n.to == job->query.target) {
+      if (!lane.labels.relax_min(n.to, ng, job.epoch)) continue;
+      if (n.to == job.query.target) {
         // CAS-min the incumbent; the target itself is never pushed.
-        std::uint64_t cur = job->best_target.load(std::memory_order_relaxed);
-        while (ng < cur && !job->best_target.compare_exchange_weak(
+        std::uint64_t cur = job.best_target.load(std::memory_order_relaxed);
+        while (ng < cur && !job.best_target.compare_exchange_weak(
                                cur, ng, std::memory_order_relaxed)) {
         }
         continue;
       }
-      const std::uint64_t nf = ng + heuristic(n.to, job->query.target);
-      if (nf < job->best_target.load(std::memory_order_relaxed)) {
-        job->pending.fetch_add(1, std::memory_order_relaxed);
-        ctx.push(Task{nf, payload_of(lane_id, n.to)});
+      const std::uint64_t nf = ng + heuristic(n.to, job.query.target);
+      if (nf < job.best_target.load(std::memory_order_relaxed)) {
+        ++tally.children;
+        children.push_back(Task{nf, payload_of(lane_id, n.to)});
       }
     }
   }
 
-  void retire_task(const Task& task, std::vector<Completion>& done) {
-    Lane& lane = *lanes_[lane_of(task.payload)];
-    Job* job = lane.job.load(std::memory_order_acquire);
-    job->executed.fetch_add(1, std::memory_order_relaxed);
-    if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done.push_back(complete_query(lane, *job));
-    }
-  }
-
-  /// Last task retired: harvest the result off the lane *before* the
-  /// lane goes back on the free list (a new admission bumps the epoch,
+  /// Last task retired: read the result off the lane *before* the lane
+  /// goes back on the free list (a new admission bumps the epoch,
   /// invalidating the labels this query wrote).
-  Completion complete_query(Lane& lane, Job& job) {
+  Completion harvest(unsigned lane_id, const Job& job) {
     Completion c;
-    c.result.distance = lane.labels.load(job.query.target, job.epoch);
+    c.lane = lane_id;
+    c.result.distance = lanes_[lane_id]->labels.load(job.query.target, job.epoch);
     c.result.tasks = job.executed.load(std::memory_order_relaxed);
     c.result.wasted = job.wasted.load(std::memory_order_relaxed);
+    c.result.wait_seconds = job.wait_seconds;
     c.result.latency_seconds =
         std::chrono::duration<double>(Clock::now() - job.submitted).count();
     latency_.record_seconds(c.result.latency_seconds);
     queries_completed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      MutexLock lk(mutex_);
-      lane.job.store(nullptr, std::memory_order_relaxed);
-      c.job = std::move(lane.owner);
-      free_lanes_.push_back(job.lane);
-    }
     return c;
   }
 
-  /// Claim queued queries for free lanes and seed them through this
-  /// worker's handle. try_to_lock: admission is an optimization on the
-  /// idle path; blocking every idle worker on one mutex is not.
+  /// Free the completed lanes and refill them from the queue under one
+  /// acquisition of mutex_, then seed the admitted queries and fulfil
+  /// the completed ones outside it.
   template <typename H>
-  bool try_admit(H& handle, ThreadStats& stats, std::vector<Task>& seeds) {
+  void complete_and_admit(H& handle, ThreadStats& stats, WorkerScratch& s) {
+    bool wake = false;
+    {
+      MutexLock lk(mutex_);
+      for (Completion& c : s.done) {
+        Lane& lane = *lanes_[c.lane];
+        lane.job.store(nullptr, std::memory_order_relaxed);
+        c.job = std::move(lane.owner);
+        free_lanes_.push_back(c.lane);
+      }
+      wake = admit_locked(s.seeds);
+    }
+    seed(handle, stats, s.seeds, wake);
+    for (Completion& c : s.done) c.job->promise.set_value(c.result);
+    s.done.clear();
+  }
+
+  /// Idle-path admission: claim queued queries for free lanes.
+  /// try_to_lock: blocking every idle worker on one mutex is not worth
+  /// it — whoever holds the mutex admits, or a completion will.
+  template <typename H>
+  bool try_admit(H& handle, ThreadStats& stats, WorkerScratch& s) {
     if (queued_.load(std::memory_order_relaxed) == 0) return false;
-    seeds.clear();
     // Explicit try_lock/unlock (rather than a scoped guard) so the
     // try-acquire branch is visible to the thread-safety analysis.
     if (!mutex_.try_lock()) return false;
+    const bool wake = admit_locked(s.seeds);
+    mutex_.unlock();
+    if (s.seeds.empty()) return false;
+    seed(handle, stats, s.seeds, wake);
+    return true;
+  }
+
+  /// Move queued queries into free lanes, collecting their seed tasks.
+  /// The seeds are counted in pending_ here, under the mutex, so a
+  /// worker deciding to park sees them; returns whether a parked worker
+  /// needs a notify.
+  bool admit_locked(std::vector<Task>& seeds) SMQ_REQUIRES(mutex_) {
+    seeds.clear();
+    if (queue_.empty() || free_lanes_.empty()) return false;
+    const Clock::time_point now = Clock::now();
     while (!queue_.empty() && !free_lanes_.empty()) {
       std::shared_ptr<Job> job = std::move(queue_.front());
       queue_.pop_front();
@@ -402,8 +501,9 @@ class SchedulerService final : public QueryService {
       const unsigned lane_id = free_lanes_.back();
       free_lanes_.pop_back();
       Lane& lane = *lanes_[lane_id];
-      job->lane = lane_id;
       job->epoch = lane.labels.new_epoch();
+      job->wait_seconds =
+          std::chrono::duration<double>(now - job->submitted).count();
       lane.labels.store(job->query.source, 0, job->epoch);
       job->pending.store(1, std::memory_order_relaxed);
       seeds.push_back(Task{heuristic(job->query.source, job->query.target),
@@ -412,24 +512,21 @@ class SchedulerService final : public QueryService {
       lane.owner = std::move(job);
       lane.job.store(raw, std::memory_order_release);
     }
-    mutex_.unlock();
-    if (seeds.empty()) return false;
-    // Counter before visibility, exactly like TaskContext::flush.
-    stats.pushes += seeds.size();
+    // Counter before visibility, exactly like the executor's flush.
     pending_.fetch_add(static_cast<std::int64_t>(seeds.size()),
                        std::memory_order_relaxed);
-    handle.push_batch(std::span<const Task>(seeds));
-    wake_all();
-    return true;
+    return parked_ > 0;
   }
 
-  /// Wake parked workers. The empty critical section orders this
-  /// notifier's state changes against a parker between its predicate
-  /// check and its wait — without it the wake could fall in that window
-  /// and be lost.
-  void wake_all() {
-    { MutexLock lk(mutex_); }
-    cv_.notify_all();
+  /// Publish admitted seeds through this worker's handle; notify only
+  /// when admission saw a parked worker.
+  template <typename H>
+  void seed(H& handle, ThreadStats& stats, const std::vector<Task>& seeds,
+            bool wake) {
+    if (seeds.empty()) return;
+    stats.pushes += seeds.size();
+    handle.push_batch(std::span<const Task>(seeds));
+    if (wake) cv_.notify_all();
   }
 
   std::shared_ptr<const Graph> graph_;
@@ -457,6 +554,7 @@ class SchedulerService final : public QueryService {
   std::vector<unsigned> free_lanes_ SMQ_GUARDED_BY(mutex_);
   bool accepting_ SMQ_GUARDED_BY(mutex_) = true;
   bool stop_ SMQ_GUARDED_BY(mutex_) = false;
+  unsigned parked_ SMQ_GUARDED_BY(mutex_) = 0;  // workers waiting on cv_
 
   Mutex lifecycle_mutex_;  // serializes start()/stop() callers
   bool stopped_ SMQ_GUARDED_BY(lifecycle_mutex_) = false;

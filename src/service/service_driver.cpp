@@ -127,10 +127,14 @@ void finalize_service_row(ServiceRow& row, const DriveResult& drive,
   row.max_ms = latencies.max_seconds() * 1e3;
   row.tasks = 0;
   row.wasted = 0;
+  LatencyHistogram waits;
   for (const QueryResult& r : drive.results) {
     row.tasks += r.tasks;
     row.wasted += r.wasted;
+    waits.record_seconds(r.wait_seconds);
   }
+  row.wait_p50_ms = waits.quantile(0.50) * 1e3;
+  row.wait_p99_ms = waits.quantile(0.99) * 1e3;
   if (ref != nullptr) {
     row.validated = true;
     row.valid = drive.results.size() == ref->distances.size();
@@ -156,8 +160,9 @@ std::string mode_label(const ServiceRow& row) {
 
 void print_service_table(std::ostream& os, const ServiceReport& report) {
   TablePrinter table({"scheduler", "mode", "thr", "lanes", "queries", "wall ms",
-                      "qps", "p50 ms", "p90 ms", "p99 ms", "tasks", "wasted",
-                      "mem KiB", "speedup", "ok"});
+                      "qps", "p50 ms", "p90 ms", "p99 ms", "wait p50 ms",
+                      "wait p99 ms", "tasks", "wasted", "mem KiB", "speedup",
+                      "ok"});
   for (const ServiceRow& row : report.rows) {
     // Auto rows show the resolved preset next to "auto" — the chosen
     // config must be readable off the table.
@@ -171,7 +176,12 @@ void print_service_table(std::ostream& os, const ServiceReport& report) {
                    TablePrinter::fmt(row.qps, 1),
                    TablePrinter::fmt(row.p50_ms, 3),
                    TablePrinter::fmt(row.p90_ms, 3),
-                   TablePrinter::fmt(row.p99_ms, 3), std::to_string(row.tasks),
+                   TablePrinter::fmt(row.p99_ms, 3),
+                   row.spawn_baseline ? std::string("-")
+                                      : TablePrinter::fmt(row.wait_p50_ms, 3),
+                   row.spawn_baseline ? std::string("-")
+                                      : TablePrinter::fmt(row.wait_p99_ms, 3),
+                   std::to_string(row.tasks),
                    std::to_string(row.wasted),
                    row.memory_footprint > 0
                        ? TablePrinter::fmt(
@@ -249,6 +259,8 @@ void write_service_json(std::ostream& os, const ServiceReport& report) {
     json.member("tasks", row.tasks);
     json.member("wasted", row.wasted);
     if (!row.spawn_baseline) {
+      json.member("wait_p50_ms", row.wait_p50_ms);
+      json.member("wait_p99_ms", row.wait_p99_ms);
       json.member("pushes", row.stats.pushes);
       json.member("empty_pops", row.stats.empty_pops);
       json.member("steals", row.stats.steals);

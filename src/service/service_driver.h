@@ -80,6 +80,10 @@ struct ServiceRow {
   double p90_ms = 0;
   double p99_ms = 0;
   double max_ms = 0;
+  /// Queue wait (submit to admission into a lane) percentiles, from the
+  /// drive's per-query results; 0 for spawn rows, which never queue.
+  double wait_p50_ms = 0;
+  double wait_p99_ms = 0;
   std::uint64_t tasks = 0;
   std::uint64_t wasted = 0;
   ThreadStats stats;  // service worker counters (empty for spawn rows)
@@ -99,8 +103,9 @@ struct ServiceRow {
 };
 
 /// Fill the measurement half of `row` from a drive: throughput, latency
-/// percentiles out of `latencies`, per-query task/waste totals, and the
-/// oracle comparison when `ref` is non-null.
+/// percentiles out of `latencies`, queue-wait percentiles and per-query
+/// task/waste totals out of the results, and the oracle comparison when
+/// `ref` is non-null.
 void finalize_service_row(ServiceRow& row, const DriveResult& drive,
                           const LatencyHistogram& latencies,
                           const ServiceReference* ref);

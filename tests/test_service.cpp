@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,21 @@ std::unique_ptr<ConcreteService> make_concrete(
   return std::make_unique<ConcreteService>(
       gi.graph, workers, opts, workers,
       SmqConfig{.steal_size = 4, .p_steal = 0.25, .seed = 17});
+}
+
+/// The per-query tallies, settled once per lane per batch, must add up
+/// to the workers' own counters: every popped task is some query's
+/// executed task, every stale one some query's wasted task.
+void expect_accounting_matches(const std::vector<QueryResult>& results,
+                               const ThreadStats& stats) {
+  std::uint64_t tasks = 0;
+  std::uint64_t wasted = 0;
+  for (const QueryResult& r : results) {
+    tasks += r.tasks;
+    wasted += r.wasted;
+  }
+  EXPECT_EQ(tasks, stats.pops);
+  EXPECT_EQ(wasted, stats.wasted);
 }
 
 // ---- VersionedLabels -------------------------------------------------------
@@ -223,6 +240,9 @@ TEST(SchedulerServiceQueries, ConcurrentSubmitters) {
   EXPECT_EQ(service->queries_completed(), kSubmitters * kPerSubmitter);
   EXPECT_EQ(service->latency_histogram().count(), kSubmitters * kPerSubmitter);
   service->stop();
+  std::vector<QueryResult> all;
+  for (const auto& r : results) all.insert(all.end(), r.begin(), r.end());
+  expect_accounting_matches(all, service->worker_stats());
 }
 
 TEST(SchedulerServiceQueries, LaneChurnWithSingleLane) {
@@ -243,18 +263,29 @@ TEST(SchedulerServiceQueries, LaneChurnWithSingleLane) {
 }
 
 TEST(SchedulerServiceQueries, UnbatchedLoopMatchesBatched) {
-  const GraphInstance gi = road_instance(1000, /*seed=*/17);
-  const std::vector<Query> queries = make_query_set(gi, 24, /*seed=*/6);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
-    auto service =
-        make_concrete(gi, 3, ServiceOptions{.batch_size = batch});
-    for (const Query& q : queries) {
-      const auto ref =
-          sequential_astar(*gi.graph, q.source, q.target, gi.weight_scale);
-      EXPECT_EQ(service->run(q).distance, ref.distance)
-          << "batch=" << batch;
+  // Road (A*) and a graph without coordinates (the Dijkstra fallback),
+  // each at one task per handle call and at 32.
+  GraphInstance plain;
+  plain.graph =
+      std::make_shared<Graph>(make_erdos_renyi(800, 4800, /*seed=*/31));
+  plain.name = "er-test";
+  for (const GraphInstance& gi : {road_instance(1000, /*seed=*/17), plain}) {
+    const std::vector<Query> queries = make_query_set(gi, 24, /*seed=*/6);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+      auto service =
+          make_concrete(gi, 3, ServiceOptions{.batch_size = batch});
+      std::vector<QueryResult> results;
+      for (const Query& q : queries) {
+        const auto ref =
+            sequential_astar(*gi.graph, q.source, q.target, gi.weight_scale);
+        results.push_back(service->run(q));
+        EXPECT_EQ(results.back().distance, ref.distance)
+            << gi.name << " batch=" << batch;
+      }
+      service->stop();
+      SCOPED_TRACE(gi.name + " batch=" + std::to_string(batch));
+      expect_accounting_matches(results, service->worker_stats());
     }
-    service->stop();
   }
 }
 
@@ -271,6 +302,74 @@ TEST(SchedulerServiceQueries, DijkstraFallbackWithoutCoordinates) {
         sequential_astar(*gi.graph, q.source, q.target, gi.weight_scale);
     EXPECT_EQ(service->run(q).distance, ref.distance);
   }
+  service->stop();
+}
+
+// ---- parking and wake-ups ------------------------------------------------
+
+// Every query arrives at an idle pool: the sleep lets both workers park,
+// so each submit must wake a parked worker (submit notifies only when
+// `parked_` is non-zero). A lost wake leaves the ticket unready.
+TEST(SchedulerServiceParking, EverySubmitWakesAParkedPool) {
+  const GraphInstance gi = road_instance(1000, /*seed=*/37);
+  const std::vector<Query> queries = make_query_set(gi, 100, /*seed=*/14);
+  for (const unsigned lanes : {1u, 0u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    auto service = make_concrete(gi, 2, ServiceOptions{.lanes = lanes});
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      QueryTicket ticket = service->submit(queries[i]);
+      ASSERT_EQ(ticket.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "query " << i;
+      const auto ref = sequential_astar(*gi.graph, queries[i].source,
+                                        queries[i].target, gi.weight_scale);
+      EXPECT_EQ(ticket.get().distance, ref.distance) << "query " << i;
+    }
+    service->stop();
+  }
+}
+
+// stop() issued right after a burst lands on a parked pool: the queued
+// queries must still be admitted and answered before stop() returns.
+TEST(SchedulerServiceParking, StopWhileParkedDrainsTheQueue) {
+  const GraphInstance gi = road_instance(1000, /*seed=*/41);
+  const std::vector<Query> queries = make_query_set(gi, 20, /*seed=*/15);
+  auto service = make_concrete(gi, 2, ServiceOptions{.lanes = 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::vector<QueryTicket> tickets;
+  for (const Query& q : queries) tickets.push_back(service->submit(q));
+  service->stop();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(tickets[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "query " << i;
+    const auto ref = sequential_astar(*gi.graph, queries[i].source,
+                                      queries[i].target, gi.weight_scale);
+    EXPECT_EQ(tickets[i].get().distance, ref.distance) << "query " << i;
+  }
+  EXPECT_EQ(service->queries_completed(), queries.size());
+}
+
+// ---- queue wait ------------------------------------------------------------
+
+TEST(SchedulerServiceQueries, WaitIsTheQueuedShareOfLatency) {
+  // One lane and a burst: every query after the first waits for the
+  // lane, and its wait can never exceed its latency.
+  const GraphInstance gi = road_instance(800, /*seed=*/43);
+  auto service = make_concrete(gi, 2, ServiceOptions{.lanes = 1});
+  const std::vector<Query> queries = make_query_set(gi, 30, /*seed=*/16);
+  std::vector<QueryTicket> tickets;
+  for (const Query& q : queries) tickets.push_back(service->submit(q));
+  double last_wait = 0;
+  for (QueryTicket& t : tickets) {
+    const QueryResult r = t.get();
+    EXPECT_GE(r.wait_seconds, 0.0);
+    EXPECT_LE(r.wait_seconds, r.latency_seconds);
+    last_wait = r.wait_seconds;
+  }
+  EXPECT_GT(last_wait, 0.0);  // queued behind 29 queries on one lane
+  EXPECT_EQ(service->run({7, 7}).wait_seconds, 0.0);  // no lane needed
   service->stop();
 }
 
@@ -318,6 +417,28 @@ TEST(ServiceDriver, DriveModesMatchReference) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(spawn.results[i].distance, ref.distances[i]);
   }
+}
+
+TEST(ServiceDriver, RowReportsWaitPercentilesFromResults) {
+  DriveResult drive;
+  drive.seconds = 1;
+  for (int i = 1; i <= 100; ++i) {
+    QueryResult r;
+    r.distance = 1;
+    r.wait_seconds = i * 1e-3;  // 1..100 ms
+    r.latency_seconds = r.wait_seconds + 1e-3;
+    drive.results.push_back(r);
+  }
+  LatencyHistogram latencies;
+  for (const QueryResult& r : drive.results) {
+    latencies.record_seconds(r.latency_seconds);
+  }
+  ServiceRow row;
+  finalize_service_row(row, drive, latencies, nullptr);
+  // 100 samples stay exact (nearest rank, no buckets).
+  EXPECT_NEAR(row.wait_p50_ms, 50.0, 1.0);
+  EXPECT_NEAR(row.wait_p99_ms, 99.0, 1.0);
+  EXPECT_LT(row.wait_p99_ms, row.p99_ms);
 }
 
 TEST(ServiceFactory, UnknownSchedulerThrows) {
