@@ -8,18 +8,14 @@
 // virtual, the erasure is in the noise; the batched row is what
 // `smq_run --batch-size` buys.
 //
-// Schedulers with a "reclaim" tunable get a fourth row, batched+reclaim
-// (epoch-based reclamation on), whose vs_batched ratio is the cost of
-// epoch pinning on the hot path; --max-reclaim-overhead 0.05 turns that
-// ratio into a gate (exit 1 when reclamation costs more than 5%). Every
-// non-static row also reports the scheduler's steady-state memory
-// footprint after the run — with reclamation on this is the plateau the
-// soak test watches; off, it is the leak-until-destroy high-water mark.
+// Every non-static row also reports the scheduler's memory footprint
+// after the run (the bytes its queues hold; the skip-list schedulers
+// always epoch-reclaim, so theirs is the plateau the soak test watches).
+// Exit 1 when any row's answer disagrees with the sequential oracle.
 //
 //   SMQ_BENCH_SCALE=0.1 SMQ_BENCH_THREADS=2 ./bench_dispatch_overhead
 //   ./bench_dispatch_overhead --vertices 100000 --threads 4 --reps 5
 //                             --batch-size 64 [--json PATH]
-//                             [--max-reclaim-overhead 0.05]
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -46,7 +42,6 @@ struct Row {
   std::uint64_t tasks = 0;
   double mops = 0;          // million executed tasks per second
   double vs_virtual = 1.0;  // throughput ratio against the virtual row
-  double vs_batched = 0;    // reclaim rows: ratio against plain batched
   std::size_t footprint = 0;  // scheduler bytes after the run (0 = n/a)
   bool valid = false;
 };
@@ -55,15 +50,7 @@ struct ModeSpec {
   std::string_view label;
   bool is_static;
   std::string batch_size;
-  bool reclaim;
 };
-
-bool has_tunable(const SchedulerEntry& entry, const std::string& name) {
-  for (const Tunable& t : entry.tunables) {
-    if (t.name == name) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -76,8 +63,6 @@ int main(int argc, char** argv) {
       "threads", static_cast<std::int64_t>(bench::bench_max_threads())));
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const std::string batch_size = args.get("batch-size", "64");
-  const double max_reclaim_overhead =
-      args.get_double("max-reclaim-overhead", 0);
 
   ParamMap params;
   params.set("vertices", std::to_string(vertices));
@@ -91,24 +76,18 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> schedulers = static_dispatch_keys();
   std::vector<Row> rows;
-  bool reclaim_gate_ok = true;
 
   for (const std::string& name : schedulers) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
-    std::vector<ModeSpec> modes = {
-        {"virtual", false, "1", false},
-        {"batched", false, batch_size, false},
-        {"static", true, "1", false},
+    const ModeSpec modes[] = {
+        {"virtual", false, "1"},
+        {"batched", false, batch_size},
+        {"static", true, "1"},
     };
-    if (has_tunable(*entry, "reclaim")) {
-      modes.push_back({"batched+reclaim", false, batch_size, true});
-    }
     double virtual_throughput = 0;
-    double batched_throughput = 0;
     for (const ModeSpec& spec : modes) {
       ParamMap run_params = params;
       run_params.set("batch-size", spec.batch_size);
-      if (spec.reclaim) run_params.set("reclaim", "epoch");
       Row row;
       row.scheduler = name;
       row.dispatch = std::string(spec.label);
@@ -134,33 +113,19 @@ int main(int argc, char** argv) {
                      ? static_cast<double>(row.tasks) / row.seconds / 1e6
                      : 0;
       if (spec.label == "virtual") virtual_throughput = row.mops;
-      if (spec.label == "batched") batched_throughput = row.mops;
       row.vs_virtual =
           virtual_throughput > 0 ? row.mops / virtual_throughput : 1.0;
-      if (spec.reclaim && batched_throughput > 0) {
-        row.vs_batched = row.mops / batched_throughput;
-        if (max_reclaim_overhead > 0 &&
-            row.vs_batched < 1.0 - max_reclaim_overhead) {
-          reclaim_gate_ok = false;
-          std::cerr << "RECLAIM GATE: " << name << " batched+reclaim at "
-                    << TablePrinter::fmt(row.vs_batched)
-                    << "x of batched (allowed >= "
-                    << TablePrinter::fmt(1.0 - max_reclaim_overhead) << "x)\n";
-        }
-      }
       rows.push_back(row);
     }
   }
 
   TablePrinter table({"scheduler", "dispatch", "time ms", "tasks", "Mtasks/s",
-                      "vs virtual", "vs batched", "mem KiB", "valid"});
+                      "vs virtual", "mem KiB", "valid"});
   for (const Row& row : rows) {
     table.add_row({row.scheduler, row.dispatch,
                    TablePrinter::fmt(row.seconds * 1e3),
                    std::to_string(row.tasks), TablePrinter::fmt(row.mops),
                    TablePrinter::fmt(row.vs_virtual),
-                   row.vs_batched > 0 ? TablePrinter::fmt(row.vs_batched)
-                                      : std::string("-"),
                    row.footprint > 0
                        ? TablePrinter::fmt(
                              static_cast<double>(row.footprint) / 1024.0, 1)
@@ -186,7 +151,6 @@ int main(int argc, char** argv) {
       json.member("tasks", row.tasks);
       json.member("mtasks_per_sec", row.mops);
       json.member("vs_virtual", row.vs_virtual);
-      if (row.vs_batched > 0) json.member("vs_batched", row.vs_batched);
       json.member("memory_footprint_bytes",
                   static_cast<std::uint64_t>(row.footprint));
       json.member("valid", row.valid);
@@ -200,5 +164,5 @@ int main(int argc, char** argv) {
 
   bool all_valid = true;
   for (const Row& row : rows) all_valid = all_valid && row.valid;
-  return all_valid && reclaim_gate_ok ? 0 : 1;
+  return all_valid ? 0 : 1;
 }

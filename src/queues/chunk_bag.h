@@ -7,18 +7,12 @@
 // of transfer, which is what gives OBIM its low synchronization cost:
 // one stack operation per CHUNK_SIZE tasks.
 //
-// Two stack implementations share the interface:
-//  - Locked (default, no EpochManager): a spinlock per node stack.
-//    Chunks are deleted as soon as a popper drains them, which is only
-//    safe because nobody else can hold a popped chunk.
-//  - Treiber (lock-free, with an EpochManager): push is a release CAS;
-//    pop CASes the top while *pinned*, so a racing popper reading
-//    `chunk->next` of a just-popped chunk reads live memory. The ABA
-//    hazard (top re-pointing at a recycled chunk mid-CAS) is absent
-//    because drained chunks are epoch-retired, never freed or reused
-//    before every pinned reader has unpinned. Callers in Treiber mode
-//    must hold an EpochManager::Guard around pop_chunk() and must
-//    retire (not delete) drained chunks via retire_chunk().
+// Each node stack is guarded by a spinlock, so a chunk's link is only
+// touched under the lock and nobody else can hold a popped chunk: the
+// popper frees it as soon as it is drained, with no grace period, and a
+// long-lived pool's footprint stays flat. A lock-free (Treiber) variant
+// with epoch-retired chunks was not faster on every OBIM/PMOD row
+// (README "Memory reclamation"), so only the locked stacks remain.
 #pragma once
 
 #include <array>
@@ -27,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sched/epoch.h"
 #include "sched/task.h"
 #include "support/padding.h"
 #include "support/spinlock.h"
@@ -42,10 +35,7 @@ struct Chunk {
 
   std::array<Task, kCapacity> tasks;
   std::uint32_t count = 0;
-  // Atomic because a Treiber popper reads the next pointer of a chunk
-  // a concurrent popper may be unlinking (and later resetting) — a
-  // plain pointer would be a data race even when the value is discarded.
-  std::atomic<Chunk*> next{nullptr};
+  Chunk* next = nullptr;  // stack link; accessed only under the stack lock
 
   bool full(std::size_t limit) const noexcept { return count >= limit; }
   bool empty() const noexcept { return count == 0; }
@@ -63,7 +53,7 @@ struct Chunk {
 
 /// Shared new/delete accounting for chunks, so owners can report a
 /// steady-state footprint. `live` counts allocated-but-not-yet-freed
-/// chunks (wherever they sit: stacks, thread locals, or epoch limbo).
+/// chunks (wherever they sit: stacks or thread locals).
 struct ChunkAlloc {
   std::atomic<std::int64_t> live{0};
 
@@ -77,11 +67,6 @@ struct ChunkAlloc {
     delete chunk;
   }
 
-  /// EpochManager deleter (`ctx` is the ChunkAlloc).
-  static void deleter(void* ptr, void* ctx) {
-    static_cast<ChunkAlloc*>(ctx)->free(static_cast<Chunk*>(ptr));
-  }
-
   std::size_t bytes() const noexcept {
     const std::int64_t n = live.load(std::memory_order_relaxed);
     return n > 0 ? static_cast<std::size_t>(n) * sizeof(Chunk) : 0;
@@ -91,102 +76,61 @@ struct ChunkAlloc {
 /// One priority level's worth of chunks, sharded per NUMA node.
 class ChunkBag {
  public:
-  explicit ChunkBag(unsigned num_nodes, EpochManager* epochs = nullptr)
-      : stacks_(num_nodes ? num_nodes : 1), epochs_(epochs) {}
+  explicit ChunkBag(unsigned num_nodes) : stacks_(num_nodes ? num_nodes : 1) {}
 
   ChunkBag(const ChunkBag&) = delete;
   ChunkBag& operator=(const ChunkBag&) = delete;
 
   ~ChunkBag() {
     for (auto& stack : stacks_) {
-      // Acquire loads: the destructor typically runs after joining the
-      // worker threads, but the publishing CAS/unlock is the only
-      // operation guaranteed to have released the chunk contents —
-      // make the ordering explicit instead of leaning on join order.
+      // Acquire load: the destructor typically runs after joining the
+      // worker threads, but make the ordering explicit instead of
+      // leaning on join order.
       Chunk* chunk = stack.value.top.load(std::memory_order_acquire);
       while (chunk != nullptr) {
-        Chunk* next = chunk->next.load(std::memory_order_acquire);
+        Chunk* next = chunk->next;
         delete chunk;
         chunk = next;
       }
     }
   }
 
-  EpochManager* epochs() const noexcept { return epochs_; }
-
   /// Push a full (or final partial) chunk onto `node`'s stack.
   void push_chunk(unsigned node, Chunk* chunk) noexcept {
-    // Capture the count before the chunk is published: one unlock (or
-    // CAS) later it can already be popped and drained by another
-    // thread, and chunk->count is not ours to read anymore.
+    // Capture the count before the chunk is published: one unlock later
+    // it can already be popped and drained by another thread, and
+    // chunk->count is not ours to read anymore.
     const std::uint32_t count = chunk->count;
     NodeStack& stack = stacks_[node].value;
-    if (epochs_ != nullptr) {
-      // Treiber push needs no pin: it dereferences nothing.
-      Chunk* top = stack.top.load(std::memory_order_relaxed);
-      do {
-        chunk->next.store(top, std::memory_order_relaxed);
-      } while (!stack.top.compare_exchange_weak(top, chunk,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed));
-    } else {
-      stack.lock.lock();
-      chunk->next.store(stack.top.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      stack.top.store(chunk, std::memory_order_relaxed);
-      stack.lock.unlock();
-    }
+    stack.lock.lock();
+    chunk->next = stack.top.load(std::memory_order_relaxed);
+    stack.top.store(chunk, std::memory_order_relaxed);
+    stack.lock.unlock();
     tasks_.fetch_add(count, std::memory_order_release);
   }
 
   /// Pop a chunk, preferring `node`'s own stack; steals round-robin from
-  /// the other nodes' stacks when the local one is empty. In Treiber
-  /// mode the caller must be pinned (lint-enforced via the marker).
-  Chunk* pop_chunk(unsigned node) noexcept SMQ_REQUIRES_PIN {
+  /// the other nodes' stacks when the local one is empty.
+  Chunk* pop_chunk(unsigned node) noexcept {
     const unsigned n = static_cast<unsigned>(stacks_.size());
     for (unsigned k = 0; k < n; ++k) {
       NodeStack& stack = stacks_[(node + k) % n].value;
-      Chunk* chunk;
-      if (epochs_ != nullptr) {
-        chunk = stack.top.load(std::memory_order_acquire);
-        while (chunk != nullptr) {
-          Chunk* next = chunk->next.load(std::memory_order_acquire);
-          if (stack.top.compare_exchange_weak(chunk, next,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-            break;
-          }
-        }
-      } else {
-        // Optimistic peek avoids taking remote locks on empty stacks;
-        // the authoritative read happens under the lock.
-        if (stack.top.load(std::memory_order_acquire) == nullptr) continue;
-        stack.lock.lock();
-        chunk = stack.top.load(std::memory_order_relaxed);
-        if (chunk != nullptr) {
-          stack.top.store(chunk->next.load(std::memory_order_acquire),
-                          std::memory_order_relaxed);
-        }
-        stack.lock.unlock();
-      }
+      // Optimistic peek avoids taking remote locks on empty stacks;
+      // the authoritative read happens under the lock.
+      if (stack.top.load(std::memory_order_acquire) == nullptr) continue;
+      stack.lock.lock();
+      Chunk* chunk = stack.top.load(std::memory_order_relaxed);
       if (chunk != nullptr) {
-        chunk->next.store(nullptr, std::memory_order_relaxed);
+        stack.top.store(chunk->next, std::memory_order_relaxed);
+      }
+      stack.lock.unlock();
+      if (chunk != nullptr) {
+        chunk->next = nullptr;
         tasks_.fetch_sub(chunk->count, std::memory_order_release);
         return chunk;
       }
     }
     return nullptr;
-  }
-
-  /// Dispose of a drained chunk the caller popped earlier: epoch-retire
-  /// in Treiber mode (a racing popper may still hold the pointer),
-  /// free immediately in locked mode.
-  void retire_chunk(unsigned tid, Chunk* chunk, ChunkAlloc& alloc) {
-    if (epochs_ != nullptr) {
-      epochs_->retire(tid, chunk, &ChunkAlloc::deleter, &alloc);
-    } else {
-      alloc.free(chunk);
-    }
   }
 
   bool looks_empty() const noexcept {
@@ -200,11 +144,11 @@ class ChunkBag {
  private:
   struct NodeStack {
     Spinlock lock;
+    // Written only under `lock`; atomic for pop_chunk's lock-free peek.
     std::atomic<Chunk*> top{nullptr};
   };
 
   std::vector<Padded<NodeStack>> stacks_;
-  EpochManager* epochs_;
   std::atomic<std::int64_t> tasks_{0};
 };
 

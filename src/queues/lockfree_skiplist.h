@@ -5,15 +5,18 @@
 // help unlink marked nodes. Keys are Tasks ordered by (priority, payload)
 // and duplicates are allowed (equal keys insert adjacently).
 //
-// Reclamation: nodes come from per-thread bump arenas owned by the list.
-// Without an EpochManager the historical behaviour is kept — unlinked
-// nodes are abandoned and freed wholesale on destruction (run-once
-// benchmark mode, peak memory proportional to total insertions). With an
-// EpochManager, a node is *retired* once it is physically unlinked from
-// every level, and after the two-epoch grace period it lands on the
-// retiring thread's free list, where allocate() reuses it — steady-state
-// footprint is bounded by the live set plus what is in flight, which is
-// what a long-lived service needs.
+// Reclamation: the list owns an EpochManager, and callers hold pin(tid)
+// around any operation that touches list nodes, including const
+// traversals and the spray. A node is *retired* once it is physically
+// unlinked from every level; after the two-epoch grace period it lands
+// on the retiring thread's free list, where allocate() reuses it. Free
+// lists are per thread, but a list past 2 x kSpill nodes hands kSpill of
+// them to a shared pool, and a thread whose own list is empty takes a
+// batch from the pool before growing its arena: the thread that pops a
+// node is rarely the one that pushes the next, so without the pool the
+// free nodes pile up on one thread while another allocates fresh blocks.
+// Steady-state footprint is bounded by the live set plus what is in
+// flight, which is what a long-lived service needs.
 //
 // Unlink detection is a per-node link count (crossbeam-skiplist's
 // scheme): `refs` equals the number of levels at which the node is
@@ -21,8 +24,6 @@
 // pred-CAS creates the link (increment-if-nonzero, so a fully-unlinked
 // node can never be resurrected); every successful help-unlink CAS in
 // find() drops one; whoever drops the count to zero retires the node.
-// Callers in reclamation mode must hold an EpochManager::Guard around
-// any operation that touches list nodes, including const traversals.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +39,7 @@
 #include "sched/task.h"
 #include "support/padding.h"
 #include "support/rng.h"
+#include "support/spinlock.h"
 #include "support/thread_annotations.h"
 
 namespace smq {
@@ -55,11 +57,11 @@ class LockFreeSkipList {
     std::array<std::atomic<Node*>, kMaxLevel> next;
   };
 
-  explicit LockFreeSkipList(unsigned num_threads,
-                            EpochManager* epochs = nullptr)
-      : epochs_(epochs),
-        arenas_(num_threads == 0 ? 1 : num_threads),
-        free_lists_(num_threads == 0 ? 1 : num_threads) {
+  explicit LockFreeSkipList(unsigned num_threads)
+      : epochs_(num_threads == 0 ? 1 : num_threads),
+        arenas_(epochs_.num_threads()),
+        free_lists_(epochs_.num_threads()) {
+    for (auto& free_list : free_lists_) free_list.value.owner = this;
     head_ = allocate(0, Task{0, 0}, kMaxLevel);
     for (int level = 0; level < kMaxLevel; ++level) {
       head_->next[static_cast<std::size_t>(level)].store(
@@ -73,10 +75,17 @@ class LockFreeSkipList {
   ~LockFreeSkipList() {
     // Flush pending retirements into the free lists while they are
     // still alive; the arenas then free every node wholesale.
-    if (epochs_ != nullptr) epochs_->drain_all();
+    epochs_.drain_all();
   }
 
-  EpochManager* epochs() const noexcept { return epochs_; }
+  /// Pin `tid` for one operation or batch (never per pointer).
+  EpochManager::Guard pin(unsigned tid) noexcept {
+    return EpochManager::Guard(&epochs_, tid);
+  }
+
+  /// Idle hook: called unpinned (a parked service worker), it lets the
+  /// epoch advance and drains tid's limbo into its free list.
+  void quiesce(unsigned tid) { epochs_.quiesce(tid); }
 
   /// Insert a task. Duplicates allowed. Height drawn from tid's RNG.
   void insert(unsigned tid, Task task, Xoshiro256& rng) SMQ_REQUIRES_PIN {
@@ -159,6 +168,8 @@ class LockFreeSkipList {
     return std::nullopt;
   }
 
+  /// Pinned or quiescent callers only. Not marked SMQ_REQUIRES_PIN: the
+  /// lint matches by name, and every container has an empty().
   bool empty() const noexcept {
     Node* node = strip(head_->next[0].load(std::memory_order_acquire));
     while (node != nullptr &&
@@ -181,9 +192,8 @@ class LockFreeSkipList {
 
   Node* head() const noexcept { return head_; }
 
-  /// Bytes held in node arenas. With reclamation on, this plateaus once
-  /// the free lists satisfy steady-state churn; without it, it grows
-  /// with total insertions. Any-thread safe.
+  /// Bytes held in node arenas; plateaus once the free lists satisfy
+  /// steady-state churn. Any-thread safe.
   std::size_t memory_footprint() const noexcept {
     return arena_bytes_.load(std::memory_order_relaxed);
   }
@@ -196,16 +206,26 @@ class LockFreeSkipList {
   /// Spray walk (SprayList [6]): descend from `start_level`, jumping a
   /// uniformly random number of nodes in [0, max_jump] per level, landing
   /// on a node in a prefix of size roughly O(T log^3 T).
+  ///
+  /// The walk steps onto a node only after reading its own link at that
+  /// level unmarked, and passes over nodes being deleted without counting
+  /// them. A node unmarked at some level was then linked at every level
+  /// below it (try_mark marks top-down), so descending from it cannot
+  /// follow a stale lower link to a node retired before this pin.
   Node* spray(int start_level, int max_jump,
               Xoshiro256& rng) const SMQ_REQUIRES_PIN {
     Node* node = head_;
     for (int level = std::min(start_level, kMaxLevel - 1); level >= 0;
          --level) {
+      const auto lvl = static_cast<std::size_t>(level);
       std::uint64_t jump = rng.next_below(static_cast<std::uint64_t>(max_jump) + 1);
       while (jump > 0) {
-        Node* next =
-            strip(node->next[static_cast<std::size_t>(level)].load(
-                std::memory_order_acquire));
+        Node* next = strip(node->next[lvl].load(std::memory_order_acquire));
+        while (next != nullptr) {
+          Node* after = next->next[lvl].load(std::memory_order_acquire);
+          if (!is_marked(after)) break;
+          next = strip(after);
+        }
         if (next == nullptr) break;
         node = next;
         --jump;
@@ -262,34 +282,34 @@ class LockFreeSkipList {
   /// the retirement.
   void release_ref(unsigned tid, Node* node) {
     if (node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      if (epochs_ != nullptr) {
-        epochs_->retire(tid, node, &reclaim_into_free_list,
-                        &free_lists_[tid].value);
-      }
-      // Without a manager the node stays abandoned in its arena
-      // (historical leak-until-destruction mode).
+      epochs_.retire(tid, node, &reclaim_into_free_list,
+                     &free_lists_[tid].value);
     }
   }
 
-  /// Logically delete `node` by marking its level-0 next pointer, then
-  /// marking upper levels (best effort; insert's set_next_unmarked
-  /// refuses to overwrite these marks).
+  /// Logically delete `node`: mark its upper levels top-down, then claim
+  /// it by marking level 0, the linearization point only one caller
+  /// wins (insert's set_next_unmarked refuses to overwrite these marks).
+  /// Top-down marking keeps a node that is unmarked at some level
+  /// unmarked, and so still linked, at every level below: find() and
+  /// spray() rely on that to descend from it. Marking level 0 first
+  /// would let a traversal descend from a node already unlinked below
+  /// and follow its frozen lower link to a node retired and reused.
   bool try_mark(Node* node) noexcept {
+    for (int level = node->height - 1; level >= 1; --level) {
+      auto& link = node->next[static_cast<std::size_t>(level)];
+      Node* up = link.load(std::memory_order_acquire);
+      while (!is_marked(up) &&
+             !link.compare_exchange_weak(up, marked(up),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      }
+    }
     Node* next = node->next[0].load(std::memory_order_acquire);
     while (!is_marked(next)) {
       if (node->next[0].compare_exchange_weak(next, marked(next),
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        for (int level = 1; level < node->height; ++level) {
-          Node* up = node->next[static_cast<std::size_t>(level)].load(
-              std::memory_order_acquire);
-          while (!is_marked(up) &&
-                 !node->next[static_cast<std::size_t>(level)]
-                      .compare_exchange_weak(up, marked(up),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          }
-        }
         return true;
       }
     }
@@ -350,9 +370,13 @@ class LockFreeSkipList {
     return height;
   }
 
+  /// Nodes change threads through the pool in batches of kSpill.
+  static constexpr std::size_t kSpill = 512;
+
   struct FreeList {
     Node* head = nullptr;
     std::size_t count = 0;
+    LockFreeSkipList* owner = nullptr;
   };
 
   /// EpochManager deleter: the grace period has elapsed, park the node
@@ -363,13 +387,42 @@ class LockFreeSkipList {
     auto* free_list = static_cast<FreeList*>(ctx);
     node->next[0].store(free_list->head, std::memory_order_relaxed);
     free_list->head = node;
-    ++free_list->count;
+    if (++free_list->count >= 2 * kSpill) free_list->owner->spill(*free_list);
+  }
+
+  /// Move kSpill nodes from `free_list` to the pool as one batch; a
+  /// batch is chained through next[0], batches through next[1].
+  void spill(FreeList& free_list) SMQ_EXCLUDES(pool_lock_) {
+    Node* first = free_list.head;
+    Node* last = first;
+    for (std::size_t i = 1; i < kSpill; ++i) {
+      last = last->next[0].load(std::memory_order_relaxed);
+    }
+    free_list.head = last->next[0].load(std::memory_order_relaxed);
+    free_list.count -= kSpill;
+    last->next[0].store(nullptr, std::memory_order_relaxed);
+    pool_lock_.lock();
+    first->next[1].store(pool_, std::memory_order_relaxed);
+    pool_ = first;
+    pool_lock_.unlock();
+  }
+
+  /// Refill an empty free list with one pooled batch; false if none.
+  bool take_batch(FreeList& free_list) SMQ_EXCLUDES(pool_lock_) {
+    pool_lock_.lock();
+    Node* batch = pool_;
+    if (batch != nullptr) pool_ = batch->next[1].load(std::memory_order_relaxed);
+    pool_lock_.unlock();
+    if (batch == nullptr) return false;
+    free_list.head = batch;
+    free_list.count = kSpill;
+    return true;
   }
 
   Node* allocate(unsigned tid, Task task, int height) {
     FreeList& free_list = free_lists_[tid].value;
     Node* node;
-    if (free_list.head != nullptr) {
+    if (free_list.head != nullptr || take_batch(free_list)) {
       node = free_list.head;
       free_list.head = free_list.head->next[0].load(std::memory_order_relaxed);
       --free_list.count;
@@ -399,10 +452,12 @@ class LockFreeSkipList {
     std::vector<std::unique_ptr<Node[]>> blocks;
   };
 
-  EpochManager* epochs_;
+  EpochManager epochs_;
   Node* head_;
   std::vector<Padded<Arena>> arenas_;
   std::vector<Padded<FreeList>> free_lists_;
+  Spinlock pool_lock_;
+  Node* pool_ SMQ_GUARDED_BY(pool_lock_) = nullptr;
   std::atomic<std::size_t> arena_bytes_{0};
 };
 

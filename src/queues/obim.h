@@ -8,6 +8,9 @@
 // every thread; a version counter invalidates the mirrors. Threads push
 // into a thread-local chunk and flush it to the bag when full; pops
 // consume a thread-local chunk taken from the lowest non-empty level.
+// The bags' chunk stacks are spinlocked, so a drained pop chunk is freed
+// at once by its thread; there is no epoch reclamation and no quiesce
+// hook, and a long-lived service pool's footprint stays flat.
 //
 // PMOD = OBIM + runtime delta adaptation: when threads repeatedly scan
 // past empty levels (starvation — too fine a delta), delta is doubled so
@@ -53,9 +56,6 @@ struct ObimConfig {
   unsigned min_shift = 0;
   unsigned max_shift = 30;
   const Topology* topology = nullptr;  // per-node bag sharding
-  // Lock-free (Treiber) chunk stacks with epoch-based reclamation of
-  // drained chunks; false keeps the historical spinlocked stacks.
-  bool reclaim = false;
 
   friend bool operator==(const ObimConfig&, const ObimConfig&) = default;
 };
@@ -72,11 +72,7 @@ class Obim {
         num_threads_(num_threads),
         num_nodes_(cfg.topology ? cfg.topology->num_nodes() : 1),
         shift_(cfg.delta_shift),
-        locals_(num_threads),
-        epochs_(cfg.reclaim
-                    ? std::make_unique<EpochManager>(num_threads ? num_threads
-                                                                 : 1)
-                    : nullptr) {
+        locals_(num_threads) {
     if (cfg_.chunk_size == 0) cfg_.chunk_size = 1;
     if (cfg_.chunk_size > Chunk::kCapacity) cfg_.chunk_size = Chunk::kCapacity;
     for (unsigned tid = 0; tid < num_threads; ++tid) {
@@ -142,10 +138,6 @@ class Obim {
 
       sched_->refresh_mirror_if_stale(local);
 
-      // One pin for the whole scan: in Treiber mode every pop_chunk
-      // below dereferences stack tops a concurrent popper may retire.
-      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
-
       // Full in-order scan: levels can refill below any cached position
       // (another thread may still be expanding a lower-level chunk), so
       // no scan-start shortcut is sound. The per-level check is one
@@ -157,7 +149,7 @@ class Obim {
           continue;
         }
         if (Chunk* chunk = bag->pop_chunk(local.node)) {
-          sched_->discard_pop_chunk(tid_, local);
+          sched_->discard_pop_chunk(local);
           local.pop_chunk = chunk;
           ++local.pops;
           return local.pop_chunk->pop();
@@ -170,7 +162,7 @@ class Obim {
         for (auto& [level, bag] : local.mirror) {
           if (bag->looks_empty()) continue;
           if (Chunk* chunk = bag->pop_chunk(local.node)) {
-            sched_->discard_pop_chunk(tid_, local);
+            sched_->discard_pop_chunk(local);
             local.pop_chunk = chunk;
             ++local.pops;
             return local.pop_chunk->pop();
@@ -206,17 +198,9 @@ class Obim {
   std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
   void flush(unsigned tid) { handle(tid).flush(); }
 
-  /// Idle hook (ReclaimingScheduler): a parked worker lets the epoch
-  /// advance so retired chunks drain between bursts.
-  void quiesce(unsigned tid) {
-    if (epochs_ != nullptr) epochs_->quiesce(tid);
-  }
-
-  /// Bytes held in live chunks (bag stacks + thread locals + epoch
-  /// limbo). Advisory, any-thread safe.
+  /// Bytes held in live chunks (bag stacks + thread locals). Advisory,
+  /// any-thread safe.
   std::size_t memory_footprint() const noexcept { return alloc_.bytes(); }
-
-  EpochManager* epochs() const noexcept { return epochs_.get(); }
 
  private:
   struct Local {
@@ -243,23 +227,16 @@ class Obim {
     MutexLock guard(map_mutex_);
     auto [it, inserted] = levels_.try_emplace(level, nullptr);
     if (inserted) {
-      // Every level's bag shares the scheduler-wide epoch manager.
-      it->second = std::make_unique<ChunkBag>(num_nodes_, epochs_.get());
+      it->second = std::make_unique<ChunkBag>(num_nodes_);
       version_.fetch_add(1, std::memory_order_release);
     }
     return it->second.get();
   }
 
-  /// Dispose of the thread's drained pop chunk: epoch-retire in
-  /// reclaim mode (a concurrent Treiber popper may still hold the
-  /// pointer), free immediately otherwise.
-  void discard_pop_chunk(unsigned tid, Local& local) {
+  /// Free the thread's drained pop chunk: nobody else can hold it.
+  void discard_pop_chunk(Local& local) {
     if (local.pop_chunk == nullptr) return;
-    if (epochs_ != nullptr) {
-      epochs_->retire(tid, local.pop_chunk, &ChunkAlloc::deleter, &alloc_);
-    } else {
-      alloc_.free(local.pop_chunk);
-    }
+    alloc_.free(local.pop_chunk);
     local.pop_chunk = nullptr;
   }
 
@@ -341,10 +318,7 @@ class Obim {
   std::atomic<unsigned> shift_;
   std::vector<Padded<Local>> locals_;
 
-  // alloc_ before epochs_: the manager's destructor drains limbo
-  // entries whose deleter context is alloc_.
   ChunkAlloc alloc_;
-  std::unique_ptr<EpochManager> epochs_;
 
   Mutex map_mutex_;
   // The level map is plain data under map_mutex_; threads read it
@@ -355,7 +329,6 @@ class Obim {
 };
 
 static_assert(HandleScheduler<Obim>);
-static_assert(ReclaimingScheduler<Obim>);
 static_assert(MemoryReportingScheduler<Obim>);
 
 /// PMOD is OBIM with runtime delta adaptation enabled (paper Section 1,

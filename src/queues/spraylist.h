@@ -6,17 +6,15 @@
 // deleters collide rarely. One of the advanced-scheduler baselines in
 // Figure 2 of the paper.
 //
-// With `reclaim = true` the scheduler owns an EpochManager: every
-// handle operation pins the epoch once (per op or per batch, never per
-// pointer), unlinked nodes are retired and recycled through per-thread
-// free lists, and quiesce() lets parked service workers advance
-// reclamation between query bursts.
+// Memory is always epoch-reclaimed by the underlying list: every handle
+// operation pins once (per op or per batch, never per pointer), unlinked
+// nodes are recycled through the list's free lists, and quiesce() lets
+// parked service workers advance reclamation between query bursts.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -37,9 +35,6 @@ struct SprayConfig {
   // H = log T + K and uniform jumps of length O(log T).
   int height_offset = 1;
   int jump_scale = 1;
-  // Epoch-based reclamation: bounded steady-state footprint for
-  // long-lived (service) use, small pin cost per operation.
-  bool reclaim = false;
 };
 
 class SprayList {
@@ -48,9 +43,7 @@ class SprayList {
 
   SprayList(unsigned num_threads, Config cfg = {})
       : num_threads_(num_threads == 0 ? 1 : num_threads),
-        epochs_(cfg.reclaim ? std::make_unique<EpochManager>(num_threads_)
-                            : nullptr),
-        list_(num_threads_, epochs_.get()),
+        list_(num_threads_),
         rngs_(num_threads_) {
     for (unsigned tid = 0; tid < num_threads_; ++tid) {
       rngs_[tid].value = Xoshiro256(thread_seed(cfg.seed, tid));
@@ -65,12 +58,12 @@ class SprayList {
   unsigned num_threads() const noexcept { return num_threads_; }
 
   void push(unsigned tid, Task task) {
-    EpochManager::Guard guard(epochs_.get(), tid);
+    const EpochManager::Guard guard = list_.pin(tid);
     list_.insert(tid, task, rngs_[tid].value);
   }
 
   std::optional<Task> try_pop(unsigned tid) {
-    EpochManager::Guard guard(epochs_.get(), tid);
+    const EpochManager::Guard guard = list_.pin(tid);
     return pop_pinned(tid);
   }
 
@@ -84,13 +77,13 @@ class SprayList {
     std::optional<Task> try_pop() { return sched_->try_pop(tid_); }
 
     void push_batch(std::span<const Task> tasks) {
-      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      const EpochManager::Guard guard = sched_->list_.pin(tid_);
       Xoshiro256& rng = sched_->rngs_[tid_].value;
       for (const Task& t : tasks) sched_->list_.insert(tid_, t, rng);
     }
 
     std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
-      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      const EpochManager::Guard guard = sched_->list_.pin(tid_);
       std::size_t taken = 0;
       while (taken < max) {
         std::optional<Task> task = sched_->pop_pinned(tid_);
@@ -114,19 +107,12 @@ class SprayList {
 
   /// Idle hook (ReclaimingScheduler): called unpinned, typically by a
   /// parked service worker.
-  void quiesce(unsigned tid) {
-    if (epochs_ != nullptr) epochs_->quiesce(tid);
-  }
+  void quiesce(unsigned tid) { list_.quiesce(tid); }
 
   /// Bytes held in skiplist node arenas (recycled nodes included).
   std::size_t memory_footprint() const noexcept {
     return list_.memory_footprint();
   }
-
-  EpochManager* epochs() const noexcept { return epochs_.get(); }
-
-  /// Quiescent-only in reclaim mode (unpinned traversal; test/teardown).
-  bool empty() const noexcept { return list_.empty(); }
 
  private:
   std::optional<Task> pop_pinned(unsigned tid) SMQ_REQUIRES_PIN {
@@ -148,9 +134,6 @@ class SprayList {
   }
 
   unsigned num_threads_;
-  // Declared before the list: the manager must outlive it so the
-  // list destructor can drain pending retirements into its free lists.
-  std::unique_ptr<EpochManager> epochs_;
   LockFreeSkipList list_;
   std::vector<Padded<Xoshiro256>> rngs_;
   int spray_height_ = 1;

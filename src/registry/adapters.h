@@ -14,7 +14,6 @@
 //    metric.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -119,21 +118,18 @@ static_assert(HandleScheduler<GlobalHeapScheduler>);
 
 struct GlobalSkipListConfig {
   std::uint64_t seed = 1;
-  bool reclaim = false;  // epoch-based node reclamation + reuse
 };
 
 /// Exact concurrent delete-min over the lock-free skip list. Stays
 /// tid-only on purpose (the standing exercise of the TidHandle shim);
-/// with reclamation on, each tid call pins the epoch for its duration.
+/// each tid call pins the list's epoch for its duration.
 class GlobalSkipListScheduler {
  public:
   using Config = GlobalSkipListConfig;
 
   explicit GlobalSkipListScheduler(unsigned num_threads, Config cfg = {})
       : num_threads_(num_threads == 0 ? 1 : num_threads),
-        epochs_(cfg.reclaim ? std::make_unique<EpochManager>(num_threads_)
-                            : nullptr),
-        list_(num_threads_, epochs_.get()),
+        list_(num_threads_),
         rngs_(num_threads_) {
     for (unsigned tid = 0; tid < num_threads_; ++tid) {
       rngs_[tid].value = Xoshiro256(thread_seed(cfg.seed, tid));
@@ -143,30 +139,23 @@ class GlobalSkipListScheduler {
   unsigned num_threads() const noexcept { return num_threads_; }
 
   void push(unsigned tid, Task task) {
-    EpochManager::Guard guard(epochs_.get(), tid);
+    const EpochManager::Guard guard = list_.pin(tid);
     list_.insert(tid, task, rngs_[tid].value);
   }
 
   std::optional<Task> try_pop(unsigned tid) {
-    EpochManager::Guard guard(epochs_.get(), tid);
+    const EpochManager::Guard guard = list_.pin(tid);
     return list_.pop_min(tid);
   }
 
-  void quiesce(unsigned tid) {
-    if (epochs_ != nullptr) epochs_->quiesce(tid);
-  }
+  void quiesce(unsigned tid) { list_.quiesce(tid); }
 
   std::size_t memory_footprint() const noexcept {
     return list_.memory_footprint();
   }
 
-  EpochManager* epochs() const noexcept { return epochs_.get(); }
-
  private:
   unsigned num_threads_;
-  // Before the list: its destructor drains retirements into the list's
-  // free lists, which must still exist.
-  std::unique_ptr<EpochManager> epochs_;
   LockFreeSkipList list_;
   std::vector<Padded<Xoshiro256>> rngs_;
 };
@@ -179,7 +168,6 @@ static_assert(MemoryReportingScheduler<GlobalSkipListScheduler>);
 /// flushable; pops drain a thread-local chunk taken from the bag.
 struct ChunkBagSchedulerConfig {
   std::size_t chunk_size = 64;
-  bool reclaim = false;  // Treiber stacks + epoch-retired chunks
 };
 
 class ChunkBagScheduler {
@@ -192,9 +180,7 @@ class ChunkBagScheduler {
                         ? 1
                         : (cfg.chunk_size > Chunk::kCapacity ? Chunk::kCapacity
                                                              : cfg.chunk_size)),
-        epochs_(cfg.reclaim ? std::make_unique<EpochManager>(num_threads_)
-                            : nullptr),
-        bag_(1, epochs_.get()),
+        bag_(1),
         locals_(num_threads_) {}
 
   ~ChunkBagScheduler() {
@@ -224,13 +210,8 @@ class ChunkBagScheduler {
     if (local.pop_chunk != nullptr && !local.pop_chunk->empty()) {
       return local.pop_chunk->pop();
     }
-    // One pin covers the Treiber pop and the retirement of the chunk
-    // it replaces (no-op guard in locked mode).
-    EpochManager::Guard guard(epochs_.get(), tid);
     if (Chunk* chunk = bag_.pop_chunk(0)) {
-      if (local.pop_chunk != nullptr) {
-        bag_.retire_chunk(tid, local.pop_chunk, alloc_);
-      }
+      if (local.pop_chunk != nullptr) alloc_.free(local.pop_chunk);
       local.pop_chunk = chunk;
       return local.pop_chunk->pop();
     }
@@ -248,13 +229,7 @@ class ChunkBagScheduler {
     local.push_chunk = nullptr;
   }
 
-  void quiesce(unsigned tid) {
-    if (epochs_ != nullptr) epochs_->quiesce(tid);
-  }
-
   std::size_t memory_footprint() const noexcept { return alloc_.bytes(); }
-
-  EpochManager* epochs() const noexcept { return epochs_.get(); }
 
  private:
   struct Local {
@@ -264,14 +239,11 @@ class ChunkBagScheduler {
 
   unsigned num_threads_;
   std::size_t chunk_size_;
-  // alloc_ before epochs_: limbo deleters reference alloc_.
   ChunkAlloc alloc_;
-  std::unique_ptr<EpochManager> epochs_;
   ChunkBag bag_;
   std::vector<Padded<Local>> locals_;
 };
 
-static_assert(ReclaimingScheduler<ChunkBagScheduler>);
 static_assert(MemoryReportingScheduler<ChunkBagScheduler>);
 
 }  // namespace smq

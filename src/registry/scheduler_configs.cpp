@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "support/cli.h"
@@ -51,20 +50,6 @@ const std::vector<Tunable>& numa_tunables() {
       {"numa-k", "", "remote-queue sampling weight divisor K"},
   };
   return tunables;
-}
-
-bool parse_reclaim(const ParamMap& params) {
-  const std::string mode = params.get("reclaim", "none");
-  if (mode.empty() || mode == "none") return false;
-  if (mode == "epoch") return true;
-  throw std::invalid_argument("unknown --reclaim mode '" + mode +
-                              "' (expected none|epoch)");
-}
-
-const Tunable& reclaim_tunable() {
-  static const Tunable t = {"reclaim", "none",
-                            "memory reclamation: none|epoch"};
-  return t;
 }
 
 SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
@@ -136,7 +121,6 @@ ObimConfig make_obim_config(unsigned threads, const ParamMap& params,
   ObimConfig cfg;
   cfg.chunk_size = static_cast<std::size_t>(params.get_int("chunk-size", 64));
   cfg.delta_shift = static_cast<unsigned>(params.get_int("delta-shift", 10));
-  cfg.reclaim = parse_reclaim(params);
   cfg.topology = topology.get();
   return cfg;
 }

@@ -40,15 +40,6 @@ std::shared_ptr<Topology> make_topology(const NumaOptions& numa,
 
 const std::vector<Tunable>& numa_tunables();
 
-/// Parse "--reclaim {none,epoch}" into a scheduler's cfg.reclaim flag.
-/// Shared by every scheduler that owns an EpochManager so the spelling
-/// (and the error message) is uniform. Throws std::invalid_argument on
-/// any other value.
-bool parse_reclaim(const ParamMap& params);
-
-/// The registry row for the shared "--reclaim" knob.
-const Tunable& reclaim_tunable();
-
 // Each builder fills `topology` (possibly with nullptr) with the object
 // its returned config points into.
 SmqConfig make_smq_config(unsigned threads, const ParamMap& params,

@@ -179,7 +179,6 @@ void register_builtins(SchedulerRegistry& reg) {
         {"delta-shift", "10", "log2(delta): priority bits merged per level"},
     };
     append(t, numa_tunables());
-    t.push_back(reclaim_tunable());
     reg.add({
         .name = "obim",
         .description = "Ordered By Integer Metric (Galois; Nguyen et al.)",
@@ -217,8 +216,7 @@ void register_builtins(SchedulerRegistry& reg) {
       .description = "SprayList relaxed skip-list PQ (Alistarh et al.)",
       .tunables = {{"seed", "1", "RNG seed"},
                    {"height-offset", "1", "spray height = log T + offset"},
-                   {"jump-scale", "1", "max jump multiplier"},
-                   reclaim_tunable()},
+                   {"jump-scale", "1", "max jump multiplier"}},
       .make =
           [](unsigned threads, const ParamMap& params) {
             SprayConfig cfg;
@@ -226,7 +224,6 @@ void register_builtins(SchedulerRegistry& reg) {
             cfg.height_offset =
                 static_cast<int>(params.get_int("height-offset", 1));
             cfg.jump_scale = static_cast<int>(params.get_int("jump-scale", 1));
-            cfg.reclaim = parse_reclaim(params);
             return AnyScheduler::make<SprayList>(threads, cfg);
           },
   });
@@ -256,12 +253,11 @@ void register_builtins(SchedulerRegistry& reg) {
       .name = "lockfree-skiplist",
       .description = "exact delete-min over the lock-free skip list "
                      "(SprayList without the spray)",
-      .tunables = {{"seed", "1", "RNG seed"}, reclaim_tunable()},
+      .tunables = {{"seed", "1", "RNG seed"}},
       .make =
           [](unsigned threads, const ParamMap& params) {
             GlobalSkipListScheduler::Config cfg;
             cfg.seed = params.get_uint("seed", 1);
-            cfg.reclaim = parse_reclaim(params);
             return AnyScheduler::make<GlobalSkipListScheduler>(threads, cfg);
           },
   });
@@ -281,13 +277,12 @@ void register_builtins(SchedulerRegistry& reg) {
       .name = "chunk-bag",
       .description = "single unordered chunk bag (no priorities; "
                      "throughput anchor)",
-      .tunables = {{"chunk-size", "64", "tasks per chunk"}, reclaim_tunable()},
+      .tunables = {{"chunk-size", "64", "tasks per chunk"}},
       .make =
           [](unsigned threads, const ParamMap& params) {
             ChunkBagScheduler::Config cfg;
             cfg.chunk_size =
                 static_cast<std::size_t>(params.get_int("chunk-size", 64));
-            cfg.reclaim = parse_reclaim(params);
             return AnyScheduler::make<ChunkBagScheduler>(threads, cfg);
           },
   });

@@ -1,4 +1,4 @@
-// Epoch-based memory reclamation (EBR) for the lock-free structures.
+// Epoch-based memory reclamation (EBR) for the lock-free skip list.
 //
 // The classic three-epoch scheme (Fraser's thesis; crossbeam-epoch is
 // the best-known production shape): readers *pin* the current global
@@ -20,19 +20,23 @@
 //    unlocks E+1 reclamation. The store-reload loop below (same as
 //    crossbeam's `pin`) closes that window.
 //  - Limbo lists are strictly thread-local; entries carry a deleter
-//    function pointer + context so one manager can serve structures
-//    with different reclamation policies (free-list reuse for skiplist
-//    nodes, plain delete for chunks).
+//    function pointer + context (the skip list parks nodes on the
+//    retiring thread's free list for reuse).
 //  - Epoch advance and limbo drain are piggybacked on every Nth
 //    outermost unpin — no dedicated collector thread. Idle threads
 //    call quiesce() (the service does this before parking) so memory
 //    retires between query bursts even when nobody is pushing.
+//  - Limbo is bounded: an unpin that leaves kLimboLimit entries in the
+//    thread's limbo yields until the epoch moves. A thread must
+//    therefore never wait for another thread while pinned — it may be
+//    the one holding the epoch.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "support/padding.h"
@@ -66,31 +70,18 @@ class EpochManager {
   /// inner guard on an already-pinned thread is a counter bump.
   class Guard {
    public:
-    Guard() noexcept = default;
     Guard(EpochManager* manager, unsigned tid) noexcept
         : manager_(manager), tid_(tid) {
-      if (manager_ != nullptr) manager_->pin(tid_);
+      manager_->pin(tid_);
     }
-    Guard(Guard&& other) noexcept : manager_(other.manager_), tid_(other.tid_) {
-      other.manager_ = nullptr;
-    }
-    Guard& operator=(Guard&&) = delete;
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
-    ~Guard() {
-      if (manager_ != nullptr) manager_->unpin(tid_);
-    }
+    ~Guard() { manager_->unpin(tid_); }
 
    private:
-    EpochManager* manager_ = nullptr;
-    unsigned tid_ = 0;
+    EpochManager* manager_;
+    unsigned tid_;
   };
-
-  /// Guard for `tid` on this manager; `guard(nullptr, tid)` composes
-  /// with reclamation-disabled callers (a no-op guard).
-  static Guard guard(EpochManager* manager, unsigned tid) noexcept {
-    return Guard(manager, tid);
-  }
 
   /// Enter a read-side critical section. While pinned, pointers read
   /// from a protected structure stay valid even if concurrently
@@ -125,6 +116,15 @@ class EpochManager {
         slot.limbo.size() >= kLimboHighWater) {
       try_advance();
       drain(tid);
+      // Backpressure: this far past the high-water mark, a pinned
+      // thread that is off CPU holds the epoch. Rather than let limbo
+      // (and the protected structure's footprint) grow for as long as
+      // that thread stays descheduled, yield until it unpins.
+      while (slot.limbo.size() >= kLimboLimit) {
+        std::this_thread::yield();
+        try_advance();
+        drain(tid);
+      }
     }
   }
 
@@ -229,6 +229,7 @@ class EpochManager {
   // enough to stay invisible on the batched hot path.
   static constexpr std::uint64_t kAdvancePeriod = 64;
   static constexpr std::size_t kLimboHighWater = 1024;
+  static constexpr std::size_t kLimboLimit = 2 * kLimboHighWater;
 
   /// Free the limbo prefix whose grace period (two advances past the
   /// retirement epoch) has elapsed. Entries are appended with

@@ -79,92 +79,6 @@ TEST(ChunkBagStress, ProducersConsumersExactlyOnce) {
   }
 }
 
-TEST(ChunkBagStress, TreiberModeExactlyOnceWithReclamation) {
-  // The lock-free stack variant: pops race under epoch pins, drained
-  // chunks go through limbo instead of immediate delete (that is what
-  // makes the racing top/next reads safe), and the allocator's live
-  // counter must converge back to the leftovers only.
-  constexpr unsigned kNodes = 2;
-  constexpr unsigned kProducers = 2;
-  constexpr unsigned kConsumers = 2;
-  constexpr std::uint64_t kChunksPerProducer = 3000;
-  constexpr std::uint32_t kTasksPerChunk = 8;
-
-  std::mutex merge_mutex;
-  std::map<std::uint64_t, int> seen;
-  ChunkAlloc alloc;
-  {
-    EpochManager epochs(kProducers + kConsumers);
-    ChunkBag bag(kNodes, &epochs);
-    std::atomic<std::uint64_t> produced_chunks{0};
-    std::atomic<bool> producing{true};
-
-    {
-      std::vector<std::jthread> workers;
-      for (unsigned p = 0; p < kProducers; ++p) {
-        workers.emplace_back([&, p] {
-          for (std::uint64_t c = 0; c < kChunksPerProducer; ++c) {
-            Chunk* chunk = alloc.make();
-            for (std::uint32_t i = 0; i < kTasksPerChunk; ++i) {
-              const std::uint64_t id =
-                  (p * kChunksPerProducer + c) * kTasksPerChunk + i;
-              chunk->push(Task{id, id});
-            }
-            bag.push_chunk(p % kNodes, chunk);
-            produced_chunks.fetch_add(1);
-          }
-          if (produced_chunks.load() == kProducers * kChunksPerProducer) {
-            producing.store(false, std::memory_order_release);
-          }
-        });
-      }
-      for (unsigned c = 0; c < kConsumers; ++c) {
-        const unsigned tid = kProducers + c;
-        workers.emplace_back([&, c, tid] {
-          std::vector<std::uint64_t> local;
-          while (true) {
-            Chunk* chunk;
-            {
-              EpochManager::Guard guard(&epochs, tid);
-              chunk = bag.pop_chunk(c % kNodes);
-            }
-            if (chunk == nullptr) {
-              if (!producing.load(std::memory_order_acquire) &&
-                  bag.looks_empty()) {
-                break;
-              }
-              continue;
-            }
-            while (!chunk->empty()) local.push_back(chunk->pop().payload);
-            bag.retire_chunk(tid, chunk, alloc);
-          }
-          std::lock_guard<std::mutex> guard(merge_mutex);
-          for (const std::uint64_t id : local) ++seen[id];
-        });
-      }
-    }
-    // Drain stragglers on the main thread (everyone else has joined, so
-    // pinning is about exercising the API, not safety).
-    while (true) {
-      EpochManager::Guard guard(&epochs, 0);
-      Chunk* chunk = bag.pop_chunk(0);
-      if (chunk == nullptr) break;
-      while (!chunk->empty()) ++seen[chunk->pop().payload];
-      bag.retire_chunk(0, chunk, alloc);
-    }
-    // ~EpochManager drain_all()s the limbo into alloc.free.
-  }
-  EXPECT_EQ(alloc.live.load(), 0) << "chunks leaked through limbo";
-  EXPECT_EQ(alloc.bytes(), 0u);
-
-  const std::uint64_t expected =
-      kProducers * kChunksPerProducer * kTasksPerChunk;
-  EXPECT_EQ(seen.size(), expected);
-  for (const auto& [id, count] : seen) {
-    ASSERT_EQ(count, 1) << "task " << id;
-  }
-}
-
 TEST(ChunkBagStress, TaskCounterConvergesToZero) {
   ChunkBag bag(1);
   for (int i = 0; i < 100; ++i) {

@@ -40,8 +40,8 @@ static_assert(HandleScheduler<Pmod>);
 static_assert(HandleScheduler<ReldQueue>);
 static_assert(HandleScheduler<GlobalHeapScheduler>);
 static_assert(HandleScheduler<SequentialScheduler>);
-// SprayList gained a native handle with epoch reclamation (the batch ops
-// pin once per batch, which a TidHandle shim could not express).
+// SprayList has a native handle because its batch ops pin the epoch once
+// per batch, which a TidHandle shim could not express.
 static_assert(HandleScheduler<SprayList>);
 // ... and the type-erasure boundary forwards them.
 static_assert(HandleScheduler<AnyScheduler>);

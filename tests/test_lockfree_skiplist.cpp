@@ -92,6 +92,7 @@ TEST(LockFreeSkipList, ConcurrentInsertsAllSurvive) {
         Xoshiro256 rng(tid + 100);
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
+          const EpochManager::Guard guard = list.pin(tid);
           list.insert(tid, Task{id, id}, rng);
         }
       });
@@ -120,9 +121,10 @@ TEST(LockFreeSkipList, ConcurrentMixedNoLossNoDuplication) {
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
+          const EpochManager::Guard guard = list.pin(tid);
           list.insert(tid, Task{id, id}, rng);
           if (i % 2 == 1) {
-            if (auto t = list.pop_min()) local.push_back(t->payload);
+            if (auto t = list.pop_min(tid)) local.push_back(t->payload);
           }
         }
         std::lock_guard<std::mutex> guard(merge_mutex);
@@ -137,32 +139,30 @@ TEST(LockFreeSkipList, ConcurrentMixedNoLossNoDuplication) {
   }
 }
 
-// ---- epoch reclamation mode -----------------------------------------------
+// ---- epoch reclamation ----------------------------------------------------
 
 TEST(LockFreeSkipListReclaim, FootprintPlateausAcrossFillDrainCycles) {
-  // With reclamation on, popped nodes cycle retire -> limbo -> per-thread
-  // free list -> reuse, so repeated fill/drain rounds must stop growing
-  // the arena after the first few (without reclamation every round leaks
-  // its nodes until destruction).
-  EpochManager epochs(1);
-  LockFreeSkipList list(1, &epochs);
+  // Popped nodes cycle retire -> limbo -> per-thread free list -> reuse,
+  // so repeated fill/drain rounds must stop growing the arena after the
+  // first few.
+  LockFreeSkipList list(1);
   Xoshiro256 rng(6);
   constexpr std::uint64_t kPerRound = 2000;
 
   std::size_t warmup_footprint = 0;
   for (int round = 0; round < 12; ++round) {
     for (std::uint64_t i = 0; i < kPerRound; ++i) {
-      EpochManager::Guard guard(&epochs, 0);
+      const EpochManager::Guard guard = list.pin(0);
       list.insert(0, Task{i, i}, rng);
     }
     for (std::uint64_t i = 0; i < kPerRound; ++i) {
-      EpochManager::Guard guard(&epochs, 0);
+      const EpochManager::Guard guard = list.pin(0);
       ASSERT_TRUE(list.pop_min(0).has_value());
     }
     // Between rounds the thread is idle: let limbo drain into the free
     // list the way a parked service worker would.
-    epochs.quiesce(0);
-    epochs.quiesce(0);
+    list.quiesce(0);
+    list.quiesce(0);
     if (round == 3) warmup_footprint = list.memory_footprint();
   }
   ASSERT_GT(warmup_footprint, 0u);
@@ -177,8 +177,7 @@ TEST(LockFreeSkipListReclaim, ConcurrentMixedWithReclamationExactlyOnce) {
   // as a missing/duplicated payload.
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerThread = 3000;
-  EpochManager epochs(kThreads);
-  LockFreeSkipList list(kThreads, &epochs);
+  LockFreeSkipList list(kThreads);
   std::mutex merge_mutex;
   std::map<std::uint64_t, int> seen;
   {
@@ -190,11 +189,11 @@ TEST(LockFreeSkipListReclaim, ConcurrentMixedWithReclamationExactlyOnce) {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
           {
-            EpochManager::Guard guard(&epochs, tid);
+            const EpochManager::Guard guard = list.pin(tid);
             list.insert(tid, Task{id, id}, rng);
           }
           if (i % 2 == 1) {
-            EpochManager::Guard guard(&epochs, tid);
+            const EpochManager::Guard guard = list.pin(tid);
             if (auto t = list.pop_min(tid)) local.push_back(t->payload);
           }
         }

@@ -50,6 +50,31 @@ TEST(SchedulerRegistry, SequentialClampsToOneThread) {
   EXPECT_EQ(effective_threads(*smq, 8), 8u);
 }
 
+/// The skip-list schedulers reclaim with no params: one thread pushes
+/// and another pops, so the nodes come back on the popper's side, and
+/// repeated fill/drain rounds must reuse them instead of growing arenas.
+TEST(SchedulerRegistry, SkipListSchedulersReclaimByDefault) {
+  for (const char* name : {"spraylist", "lockfree-skiplist"}) {
+    AnyScheduler sched = SchedulerRegistry::instance().create(name, 2, {});
+    auto pusher = sched.handle(0);
+    auto popper = sched.handle(1);
+    constexpr std::uint64_t kPerRound = 3000;
+    std::size_t warmup_footprint = 0;
+    for (int round = 0; round < 12; ++round) {
+      for (std::uint64_t i = 0; i < kPerRound; ++i) pusher.push(Task{i, i});
+      for (std::uint64_t i = 0; i < kPerRound; ++i) {
+        ASSERT_TRUE(popper.try_pop().has_value()) << name;
+      }
+      // Idle between rounds, as parked service workers are.
+      for (unsigned tid : {0u, 1u, 0u, 1u}) sched.quiesce(tid);
+      if (round == 3) warmup_footprint = sched.memory_footprint();
+    }
+    ASSERT_GT(warmup_footprint, 0u) << name;
+    EXPECT_LE(sched.memory_footprint(), warmup_footprint)
+        << name << ": arenas kept growing across fill/drain rounds";
+  }
+}
+
 /// The acceptance smoke test: every registered scheduler, built through
 /// its factory with default params, must produce exact SSSP distances on
 /// a weighted grid (validated against the sequential baseline).

@@ -1,9 +1,10 @@
 // Service-mode soak: thousands of small queries through the persistent
 // pool, watching the scheduler's memory footprint for a steady-state
-// plateau (the property epoch reclamation exists to provide), label
-// epochs surviving their 16-bit wrap, and a reclaiming spraylist
-// exercising quiesce-on-park. Sizes shrink under TSan (the stress
-// variant still runs, just smaller — TSan execution is ~10x slower).
+// plateau (the epoch-reclaimed spraylist with quiesce-on-park, and
+// OBIM's locked chunk bags, which free drained chunks at once), plus
+// label epochs surviving their 16-bit wrap. Sizes shrink under TSan
+// (the stress variant still runs, just smaller — TSan execution is ~10x
+// slower).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,22 +128,30 @@ TEST(ServiceSoak, SmqSkiplistFootprintPlateaus) {
   expect_plateau(trajectory, trajectory.size() / 3);
 }
 
-TEST(ServiceSoak, ReclaimingSpraylistStaysBoundedAndCorrect) {
-  // The EBR path end to end: every op pins, unlinked nodes retire, and
-  // parked workers quiesce between bursts so limbo drains even while
-  // the pool idles. ASan turns any premature free into a hard failure.
+/// Four workers, default params: spraylist exercises the EBR path end
+/// to end (every op pins, unlinked nodes retire, parked workers quiesce
+/// between bursts so limbo drains while the pool idles; ASan turns any
+/// premature free into a hard failure), and obim has no epochs at all
+/// (the locked chunk stacks let a popper free a drained chunk at once).
+class PoolSoak : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PoolSoak, StaysBoundedAndCorrect) {
   const std::size_t total = kUnderTsan ? 300 : 1200;
   const GraphInstance gi = small_road();
-  ParamMap params;
-  params.set("reclaim", "epoch");
-  auto service = make_service("spraylist", 4, params, gi,
+  auto service = make_service(GetParam(), 4, ParamMap{}, gi,
                               ServiceOptions{.lanes = 8, .batch_size = 8});
   const auto trajectory = soak(*service, gi, total, /*burst=*/60);
   service->stop();
   EXPECT_EQ(service->queries_completed(), total);
-  maybe_write_trajectory("spraylist-epoch", trajectory);
+  maybe_write_trajectory(GetParam(), trajectory);
   expect_plateau(trajectory, trajectory.size() / 3);
 }
+
+INSTANTIATE_TEST_SUITE_P(ServiceSoak, PoolSoak,
+                         ::testing::Values("spraylist", "obim"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(ServiceSoak, SingleLaneChurnsLabelEpochs) {
   // One lane: every query bumps the same VersionedLabels epoch, so a
