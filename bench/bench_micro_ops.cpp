@@ -19,17 +19,20 @@ namespace {
 using namespace smq;
 
 /// Alternate push/pop at a steady size so neither path degenerates.
-template <typename Sched>
+/// The handle is acquired once, outside the timed loop, as the executor
+/// does per run.
+template <PriorityScheduler Sched>
 void run_mixed_ops(benchmark::State& state, Sched& sched) {
   Xoshiro256 rng(42);
+  auto handle = sched.handle(0);
   // Pre-fill.
   for (std::uint64_t i = 0; i < 1024; ++i) {
-    sched.push(0, Task{rng.next_below(1 << 20), i});
+    handle.push(Task{rng.next_below(1 << 20), i});
   }
   std::uint64_t ops = 0;
   for (auto _ : state) {
-    sched.push(0, Task{rng.next_below(1 << 20), ops});
-    auto t = sched.try_pop(0);
+    handle.push(Task{rng.next_below(1 << 20), ops});
+    auto t = handle.try_pop();
     benchmark::DoNotOptimize(t);
     ++ops;
   }

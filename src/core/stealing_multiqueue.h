@@ -13,10 +13,9 @@
 // SequentialSkipList (Appendix D). NUMA-aware victim sampling (Section 4)
 // plugs in through QueueSampler.
 //
-// The hot path lives on the per-thread Handle (HandleScheduler in
-// scheduler_traits.h): acquiring `handle(tid)` resolves the thread's
-// Local slot — local queue, stolen-task buffer, victim RNG — once; the
-// tid-indexed methods are thin shims over a freshly built handle.
+// The scheduler is driven through its per-thread Handle
+// (scheduler_traits.h): acquiring `handle(tid)` resolves the thread's
+// Local slot — local queue, stolen-task buffer, victim RNG — once.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +121,10 @@ class StealingMultiQueue {
     /// attribution that ExecStats reports as remote_accesses /
     /// sampled_accesses.
     void collect_stats(ThreadStats& st) const noexcept {
-      collect_into(*me_, st);
+      st.steals += me_->steals;
+      st.steal_fails += me_->steal_fails;
+      st.sampled_accesses += me_->steal_samples;
+      st.remote_accesses += me_->remote_steals;
     }
 
     unsigned thread_id() const noexcept { return tid_; }
@@ -147,21 +149,6 @@ class StealingMultiQueue {
   };
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
-
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-  void collect_stats(unsigned tid, ThreadStats& st) const noexcept {
-    collect_into(locals_[tid].value, st);
-  }
 
   // ---- introspection ---------------------------------------------------
 
@@ -213,15 +200,6 @@ class StealingMultiQueue {
     std::uint64_t steal_samples = 0;
     std::uint64_t remote_steals = 0;
   };
-
-  /// One stat-folding body shared by the handle and tid surfaces (the
-  /// only reason it is not a handle call is that handle() is non-const).
-  static void collect_into(const Local& me, ThreadStats& st) noexcept {
-    st.steals += me.steals;
-    st.steal_fails += me.steal_fails;
-    st.sampled_accesses += me.steal_samples;
-    st.remote_accesses += me.remote_steals;
-  }
 
   /// trySteal() (paper Listing 2, lines 26-39).
   std::optional<Task> try_steal(unsigned tid, Local& me) {
@@ -290,7 +268,7 @@ class StealingMultiQueue {
 /// The heap-based SMQ the paper evaluates as its main configuration.
 using SmqHeap = StealingMultiQueue<DAryHeap<Task, 4>>;
 
-static_assert(HandleScheduler<SmqHeap>,
+static_assert(PriorityScheduler<SmqHeap>,
               "the paper's primary scheduler must expose native handles");
 
 }  // namespace smq

@@ -8,7 +8,7 @@
 // NUMA-weighted sampling extension (Section 4) through QueueSampler.
 //
 // Per-thread state (RNG, pop scratch, NUMA counters) is resolved once by
-// the Handle (HandleScheduler); the tid-indexed calls shim through it.
+// the per-thread Handle, the only way to drive the queue.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +124,8 @@ class ClassicMultiQueue {
     /// Fold NUMA sampling attribution into the executor's per-thread
     /// stats. Zeros under UMA.
     void collect_stats(ThreadStats& st) const noexcept {
-      collect_into(*me_, st);
+      st.sampled_accesses += me_->numa.sampled;
+      st.remote_accesses += me_->numa.remote;
     }
 
     unsigned thread_id() const noexcept { return tid_; }
@@ -145,14 +146,6 @@ class ClassicMultiQueue {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void collect_stats(unsigned tid, ThreadStats& st) const noexcept {
-    collect_into(locals_[tid].value, st);
-  }
-
  private:
   struct NumaCounters {
     std::uint64_t sampled = 0;
@@ -166,12 +159,6 @@ class ClassicMultiQueue {
     NumaCounters numa;
   };
 
-  /// One stat-folding body shared by the handle and tid surfaces.
-  static void collect_into(const Local& me, ThreadStats& st) noexcept {
-    st.sampled_accesses += me.numa.sampled;
-    st.remote_accesses += me.numa.remote;
-  }
-
   Config cfg_;
   unsigned num_threads_;
   LockedQueueArray queues_;
@@ -179,6 +166,6 @@ class ClassicMultiQueue {
   QueueSampler sampler_;
 };
 
-static_assert(HandleScheduler<ClassicMultiQueue>);
+static_assert(PriorityScheduler<ClassicMultiQueue>);
 
 }  // namespace smq

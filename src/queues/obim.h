@@ -192,12 +192,6 @@ class Obim {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void flush(unsigned tid) { handle(tid).flush(); }
-
   /// Bytes held in live chunks (bag stacks + thread locals). Advisory,
   /// any-thread safe.
   std::size_t memory_footprint() const noexcept { return alloc_.bytes(); }
@@ -328,7 +322,7 @@ class Obim {
   std::atomic<std::uint64_t> version_{1};
 };
 
-static_assert(HandleScheduler<Obim>);
+static_assert(PriorityScheduler<Obim>);
 static_assert(MemoryReportingScheduler<Obim>);
 
 /// PMOD is OBIM with runtime delta adaptation enabled (paper Section 1,

@@ -57,29 +57,25 @@ class SprayList {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    const EpochManager::Guard guard = list_.pin(tid);
-    list_.insert(tid, task, rngs_[tid].value);
-  }
-
-  std::optional<Task> try_pop(unsigned tid) {
-    const EpochManager::Guard guard = list_.pin(tid);
-    return pop_pinned(tid);
-  }
-
   /// Per-thread handle: one epoch pin per operation or batch.
   class Handle {
    public:
     Handle(SprayList& sched, unsigned tid) noexcept
-        : sched_(&sched), tid_(tid) {}
+        : sched_(&sched), rng_(&sched.rngs_[tid].value), tid_(tid) {}
 
-    void push(Task t) { sched_->push(tid_, t); }
-    std::optional<Task> try_pop() { return sched_->try_pop(tid_); }
+    void push(Task t) {
+      const EpochManager::Guard guard = sched_->list_.pin(tid_);
+      sched_->list_.insert(tid_, t, *rng_);
+    }
+
+    std::optional<Task> try_pop() {
+      const EpochManager::Guard guard = sched_->list_.pin(tid_);
+      return sched_->pop_pinned(tid_);
+    }
 
     void push_batch(std::span<const Task> tasks) {
       const EpochManager::Guard guard = sched_->list_.pin(tid_);
-      Xoshiro256& rng = sched_->rngs_[tid_].value;
-      for (const Task& t : tasks) sched_->list_.insert(tid_, t, rng);
+      for (const Task& t : tasks) sched_->list_.insert(tid_, t, *rng_);
     }
 
     std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
@@ -100,6 +96,7 @@ class SprayList {
 
    private:
     SprayList* sched_;
+    Xoshiro256* rng_;
     unsigned tid_;
   };
 
@@ -140,7 +137,7 @@ class SprayList {
   int max_jump_ = 1;
 };
 
-static_assert(HandleScheduler<SprayList>);
+static_assert(PriorityScheduler<SprayList>);
 static_assert(ReclaimingScheduler<SprayList>);
 static_assert(MemoryReportingScheduler<SprayList>);
 

@@ -36,10 +36,10 @@ LiveRankResult measure_live_rank(S& sched, std::size_t num_elements,
   const unsigned threads = sched.num_threads();
   OrderStatistics shadow(num_elements);  // priorities are 0..N-1, unique
   Xoshiro256 rng(seed);
-  std::vector<HandleOf<S>> handles;
+  std::vector<typename S::Handle> handles;
   handles.reserve(threads);
   for (unsigned tid = 0; tid < threads; ++tid) {
-    handles.push_back(handle_adapted(sched, tid));
+    handles.push_back(sched.handle(tid));
   }
 
   for (std::size_t i = 0; i < num_elements; ++i) {

@@ -32,14 +32,8 @@
 
 namespace smq {
 
-/// One global lock around one sequential d-ary heap.
-///
-/// Has a native Handle even though it keeps no per-thread state: the
-/// handle caches the lock/heap pair, and more importantly keeps the
-/// strict-PQ anchor on the same zero-probe hot path as the relaxed
-/// schedulers it is measured against. (GlobalSkipListScheduler and
-/// ChunkBagScheduler below intentionally stay tid-only — they are the
-/// standing exercise of the TidHandle migration shim.)
+/// One global lock around one sequential d-ary heap. Its Handle keeps
+/// no per-thread state beyond the tid; bulk calls take the lock once.
 class GlobalHeapScheduler {
  public:
   explicit GlobalHeapScheduler(unsigned num_threads)
@@ -98,31 +92,21 @@ class GlobalHeapScheduler {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-
  private:
   unsigned num_threads_;
   Spinlock lock_;
   DAryHeap<Task, 4> heap_ SMQ_GUARDED_BY(lock_);
 };
 
-static_assert(HandleScheduler<GlobalHeapScheduler>);
+static_assert(PriorityScheduler<GlobalHeapScheduler>);
 
 struct GlobalSkipListConfig {
   std::uint64_t seed = 1;
 };
 
-/// Exact concurrent delete-min over the lock-free skip list. Stays
-/// tid-only on purpose (the standing exercise of the TidHandle shim);
-/// each tid call pins the list's epoch for its duration.
+/// Exact concurrent delete-min over the lock-free skip list. Its Handle
+/// pins the list's epoch once per operation or per batch, never per
+/// task of a batch.
 class GlobalSkipListScheduler {
  public:
   using Config = GlobalSkipListConfig;
@@ -138,15 +122,49 @@ class GlobalSkipListScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    const EpochManager::Guard guard = list_.pin(tid);
-    list_.insert(tid, task, rngs_[tid].value);
-  }
+  class Handle {
+   public:
+    Handle(GlobalSkipListScheduler& sched, unsigned tid) noexcept
+        : list_(&sched.list_), rng_(&sched.rngs_[tid].value), tid_(tid) {}
 
-  std::optional<Task> try_pop(unsigned tid) {
-    const EpochManager::Guard guard = list_.pin(tid);
-    return list_.pop_min(tid);
-  }
+    void push(Task task) {
+      const EpochManager::Guard guard = list_->pin(tid_);
+      list_->insert(tid_, task, *rng_);
+    }
+
+    std::optional<Task> try_pop() {
+      const EpochManager::Guard guard = list_->pin(tid_);
+      return list_->pop_min(tid_);
+    }
+
+    void push_batch(std::span<const Task> tasks) {
+      const EpochManager::Guard guard = list_->pin(tid_);
+      for (const Task& task : tasks) list_->insert(tid_, task, *rng_);
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      const EpochManager::Guard guard = list_->pin(tid_);
+      std::size_t taken = 0;
+      while (taken < max) {
+        std::optional<Task> task = list_->pop_min(tid_);
+        if (!task) break;
+        out.push_back(*task);
+        ++taken;
+      }
+      return taken;
+    }
+
+    void flush() noexcept {}
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
+
+   private:
+    LockFreeSkipList* list_;
+    Xoshiro256* rng_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   void quiesce(unsigned tid) { list_.quiesce(tid); }
 
@@ -160,12 +178,14 @@ class GlobalSkipListScheduler {
   std::vector<Padded<Xoshiro256>> rngs_;
 };
 
+static_assert(PriorityScheduler<GlobalSkipListScheduler>);
 static_assert(ReclaimingScheduler<GlobalSkipListScheduler>);
 static_assert(MemoryReportingScheduler<GlobalSkipListScheduler>);
 
 /// A single unordered ChunkBag shared by all threads (OBIM with exactly
-/// one priority level). Buffers pushes into thread-local chunks, so it is
-/// flushable; pops drain a thread-local chunk taken from the bag.
+/// one priority level). A Handle buffers pushes into its thread's chunk
+/// until the chunk fills or flush() publishes it; pops drain a
+/// thread-local chunk taken from the bag.
 struct ChunkBagSchedulerConfig {
   std::size_t chunk_size = 64;
 };
@@ -195,39 +215,62 @@ class ChunkBagScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr) local.push_chunk = alloc_.make();
-    local.push_chunk->push(task);
-    if (local.push_chunk->full(chunk_size_)) {
-      bag_.push_chunk(0, local.push_chunk);
-      local.push_chunk = nullptr;
-    }
-  }
+ private:
+  struct Local;
 
-  std::optional<Task> try_pop(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.pop_chunk != nullptr && !local.pop_chunk->empty()) {
-      return local.pop_chunk->pop();
-    }
-    if (Chunk* chunk = bag_.pop_chunk(0)) {
-      if (local.pop_chunk != nullptr) alloc_.free(local.pop_chunk);
-      local.pop_chunk = chunk;
-      return local.pop_chunk->pop();
-    }
-    // Nothing published: fall back to our own unflushed chunk.
-    if (local.push_chunk != nullptr && !local.push_chunk->empty()) {
-      return local.push_chunk->pop();
-    }
-    return std::nullopt;
-  }
+ public:
+  class Handle {
+   public:
+    Handle(ChunkBagScheduler& sched, unsigned tid) noexcept
+        : sched_(&sched), me_(&sched.locals_[tid].value), tid_(tid) {}
 
-  void flush(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr || local.push_chunk->empty()) return;
-    bag_.push_chunk(0, local.push_chunk);
-    local.push_chunk = nullptr;
-  }
+    void push(Task task) {
+      if (me_->push_chunk == nullptr) me_->push_chunk = sched_->alloc_.make();
+      me_->push_chunk->push(task);
+      if (me_->push_chunk->full(sched_->chunk_size_)) flush();
+    }
+
+    void push_batch(std::span<const Task> tasks) {
+      for (const Task& task : tasks) push(task);
+    }
+
+    std::optional<Task> try_pop() {
+      if (me_->pop_chunk != nullptr && !me_->pop_chunk->empty()) {
+        return me_->pop_chunk->pop();
+      }
+      if (Chunk* chunk = sched_->bag_.pop_chunk(0)) {
+        if (me_->pop_chunk != nullptr) sched_->alloc_.free(me_->pop_chunk);
+        me_->pop_chunk = chunk;
+        return me_->pop_chunk->pop();
+      }
+      // Nothing published: fall back to our own unflushed chunk.
+      if (me_->push_chunk != nullptr && !me_->push_chunk->empty()) {
+        return me_->push_chunk->pop();
+      }
+      return std::nullopt;
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      return handle_pop_loop(*this, out, max);
+    }
+
+    /// Publish the partially filled push chunk to the bag.
+    void flush() {
+      if (me_->push_chunk == nullptr || me_->push_chunk->empty()) return;
+      sched_->bag_.push_chunk(0, me_->push_chunk);
+      me_->push_chunk = nullptr;
+    }
+
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
+
+   private:
+    ChunkBagScheduler* sched_;
+    Local* me_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   std::size_t memory_footprint() const noexcept { return alloc_.bytes(); }
 
@@ -244,6 +287,7 @@ class ChunkBagScheduler {
   std::vector<Padded<Local>> locals_;
 };
 
+static_assert(PriorityScheduler<ChunkBagScheduler>);
 static_assert(MemoryReportingScheduler<ChunkBagScheduler>);
 
 }  // namespace smq

@@ -2,9 +2,9 @@
 //
 // Each run_*_algo<S>() runs one registered workload under a scheduler of
 // *any* concrete type modelling PriorityScheduler and validates against
-// the sequential oracle. Both dispatch paths resolve to the same handle
-// API underneath: the executor acquires one per-thread handle
-// (handle_adapted) per run, so
+// the sequential oracle. Both dispatch paths drive the scheduler the same
+// way: the executor acquires one `sched.handle(tid)` per thread per run,
+// so
 //  * the algorithm registry instantiates these with S = AnyScheduler,
 //    whose handle() crosses the HandleView virtual boundary — one
 //    acquisition per thread, then one virtual per handle call of

@@ -4,22 +4,19 @@
 // PriorityScheduler concept, which forces template instantiation at every
 // call site (the seed's benches each hand-listed every scheduler type).
 // AnyScheduler wraps any concrete scheduler behind one virtual interface
-// while itself modelling FlushableScheduler *and* HandleScheduler, so
-// Executor and every algorithm template instantiate exactly once for it —
-// runtime scheduler selection with a single indirect call per operation.
-// The indirection is uniform across schedulers, which is what a
-// comparison harness needs; perf-critical single-scheduler code can still
-// use static dispatch (src/registry/static_dispatch.h).
+// while itself modelling PriorityScheduler, so Executor and every
+// algorithm template instantiate exactly once for it — runtime scheduler
+// selection with a single indirect call per handle operation. The
+// indirection is uniform across schedulers, which is what a comparison
+// harness needs; perf-critical single-scheduler code can still use
+// static dispatch (src/registry/static_dispatch.h).
 //
 // One erased boundary, the per-thread HandleView (via handle(tid)): the
 // executor acquires one erased handle per thread per run. Acquisition
 // resolves the concrete scheduler's thread-local state once — the view
-// wraps the concrete S::Handle (or its TidHandle shim) — so each later
-// operation is one virtual call with no tid re-indexing behind it, and
-// the batch entry points (push_batch / try_pop_batch) cross it once per
-// batch. The tid-indexed methods are non-virtual forwards through a
-// freshly acquired handle: they keep the PriorityScheduler concepts
-// satisfied for callers that poke a single operation (tests).
+// wraps the concrete S::Handle — so each later operation is one virtual
+// call with no tid re-indexing behind it, and the batch entry points
+// (push_batch / try_pop_batch) cross it once per batch.
 #pragma once
 
 #include <cstddef>
@@ -100,24 +97,9 @@ class AnyScheduler {
     deps_ = std::move(dependency);
   }
 
-  /// Acquire the per-thread handle (HandleScheduler interface).
+  /// Acquire the per-thread handle (PriorityScheduler interface).
   Handle handle(unsigned tid) { return Handle(impl_->acquire(tid)); }
 
-  // ---- PriorityScheduler / FlushableScheduler interface ---------------
-
-  void push(unsigned tid, Task t) { handle(tid).push(t); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-  void flush(unsigned tid) { handle(tid).flush(); }
-  void collect_stats(unsigned tid, ThreadStats& st) const {
-    Handle(impl_->acquire(tid)).collect_stats(st);
-  }
   unsigned num_threads() const { return impl_->num_threads(); }
 
   /// Reclamation idle hook; no-op for schedulers that do not defer any.
@@ -149,12 +131,10 @@ class AnyScheduler {
     template <typename... Args>
     explicit Model(Args&&... args) : sched(std::forward<Args>(args)...) {}
 
-    /// The erased handle: wraps whatever handle_adapted() yields for S —
-    /// the native S::Handle when S models HandleScheduler, the TidHandle
-    /// shim otherwise. Either way the concrete handle is resolved here,
-    /// once, and every virtual below is a plain forward.
+    /// The erased handle: wraps S's native handle, resolved here, once;
+    /// every virtual below is a plain forward.
     struct HandleModel final : HandleView {
-      HandleModel(S& sched, unsigned tid) : h(handle_adapted(sched, tid)) {}
+      HandleModel(S& sched, unsigned tid) : h(sched.handle(tid)) {}
 
       void push(Task t) override { h.push(t); }
       std::optional<Task> try_pop() override { return h.try_pop(); }
@@ -171,7 +151,7 @@ class AnyScheduler {
       }
       unsigned thread_id() const override { return h.thread_id(); }
 
-      HandleOf<S> h;
+      typename S::Handle h;
     };
 
     unsigned num_threads() const override { return sched.num_threads(); }
@@ -190,16 +170,8 @@ class AnyScheduler {
   std::shared_ptr<void> deps_;
 };
 
-static_assert(FlushableScheduler<AnyScheduler>,
+static_assert(PriorityScheduler<AnyScheduler>,
               "AnyScheduler must model the concept it erases");
-static_assert(BatchPushScheduler<AnyScheduler> &&
-                  BatchPopScheduler<AnyScheduler>,
-              "AnyScheduler must expose the one-virtual-call-per-batch path");
-static_assert(StatReportingScheduler<AnyScheduler>,
-              "AnyScheduler must forward scheduler-private stat collection");
-static_assert(HandleScheduler<AnyScheduler>,
-              "AnyScheduler must expose the once-per-run handle boundary");
-static_assert(SchedulerHandle<AnyScheduler::Handle>);
 static_assert(ReclaimingScheduler<AnyScheduler> &&
                   MemoryReportingScheduler<AnyScheduler>,
               "AnyScheduler must forward the reclamation hooks");

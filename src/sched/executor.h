@@ -2,7 +2,7 @@
 //
 // Runs a fixed pool of threads against one scheduler instance through the
 // per-thread handle API (scheduler_traits.h): each worker acquires
-// `handle_adapted(sched, tid)` once, so the thread's scheduler state
+// `sched.handle(tid)` once, so the thread's scheduler state
 // (local queue, RNG, stickiness slots, buffers) is resolved a single time
 // per run instead of re-indexed on every push/pop. Each thread then
 // loops: pop work, run the user functor (which may push follow-up tasks),
@@ -151,8 +151,7 @@ void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
 
 /// Seeds `initial` tasks round-robin through per-thread handles, then
 /// runs `fn(task, ctx)` on `num_threads` threads until the task graph
-/// drains. Works with any PriorityScheduler: schedulers with native
-/// handles get them, the rest run through the TidHandle shim.
+/// drains, each thread driving the scheduler through its own handle.
 template <PriorityScheduler S, typename Fn>
 RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
                        unsigned num_threads, const ExecutorOptions& opts = {}) {
@@ -166,10 +165,10 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
   {
     // smq-lint: no-pad seeding runs on this one thread only; workers
     // construct their own handles on their own stacks below
-    std::vector<HandleOf<S>> handles;
+    std::vector<typename S::Handle> handles;
     handles.reserve(num_threads);
     for (unsigned tid = 0; tid < num_threads; ++tid) {
-      handles.push_back(handle_adapted(sched, tid));
+      handles.push_back(sched.handle(tid));
     }
     for (std::size_t i = 0; i < initial.size(); ++i) {
       const unsigned tid = static_cast<unsigned>(i % num_threads);
@@ -182,7 +181,7 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
 
   std::vector<Padded<WorkerBuffers>> buffers(num_threads);
   auto work = [&](unsigned tid) {
-    auto handle = handle_adapted(sched, tid);
+    auto handle = sched.handle(tid);
     detail::worker_loop(handle, pending, stats.of(tid), fn, batch_size,
                         buffers[tid].value);
   };
@@ -203,7 +202,7 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
   // Scheduler-private counters (steal and NUMA-remote tallies) merge
   // into the per-thread slots only now, after the workers have joined.
   for (unsigned tid = 0; tid < num_threads; ++tid) {
-    handle_adapted(sched, tid).collect_stats(stats.of(tid));
+    sched.handle(tid).collect_stats(stats.of(tid));
   }
   result.stats = stats.total();
   return result;

@@ -137,7 +137,7 @@ class SchedulerService final : public QueryService {
       // Scheduler-private counters (steal tallies, NUMA attribution)
       // fold into the per-thread slots only now, as in run_parallel.
       for (unsigned tid = 0; tid < workers_; ++tid) {
-        handle_adapted(sched_, tid).collect_stats(stats_.of(tid));
+        sched_.handle(tid).collect_stats(stats_.of(tid));
       }
     }
     stopped_ = true;
@@ -290,7 +290,7 @@ class SchedulerService final : public QueryService {
   }
 
   void worker(unsigned tid) {
-    auto handle = handle_adapted(sched_, tid);
+    auto handle = sched_.handle(tid);
     ThreadStats& stats = stats_.of(tid);
     const std::size_t batch = opts_.batch_size;
     WorkerScratch s(opts_.lanes);

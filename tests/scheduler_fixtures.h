@@ -1,6 +1,8 @@
 // Shared scheduler factories for the algorithm test suites: every
 // algorithm is validated against its sequential oracle under every
-// scheduler family the paper evaluates.
+// scheduler family the paper evaluates and the registry's three anchors
+// (global heap, global skip list, chunk bag), each through its own
+// native handle.
 #pragma once
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include "queues/reld.h"
 #include "queues/skiplist.h"
 #include "queues/spraylist.h"
+#include "registry/adapters.h"
 
 namespace smq::testing {
 
@@ -82,9 +85,30 @@ struct PmodFactory {
   }
 };
 
+struct GlobalHeapFactory {
+  static constexpr const char* kName = "GlobalHeap";
+  using Type = GlobalHeapScheduler;
+  static Type make(unsigned threads) { return Type(threads); }
+};
+
+struct GlobalSkipListFactory {
+  static constexpr const char* kName = "GlobalSkipList";
+  using Type = GlobalSkipListScheduler;
+  static Type make(unsigned threads) { return Type(threads, {.seed = 23}); }
+};
+
+struct ChunkBagFactory {
+  static constexpr const char* kName = "ChunkBag";
+  using Type = ChunkBagScheduler;
+  static Type make(unsigned threads) {
+    return Type(threads, {.chunk_size = 8});
+  }
+};
+
 using AllSchedulerFactories =
     ::testing::Types<SmqHeapFactory, SmqSkipListFactory, ClassicMqFactory,
                      OptimizedMqFactory, ReldFactory, SprayListFactory,
-                     ObimFactory, PmodFactory>;
+                     ObimFactory, PmodFactory, GlobalHeapFactory,
+                     GlobalSkipListFactory, ChunkBagFactory>;
 
 }  // namespace smq::testing

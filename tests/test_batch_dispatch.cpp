@@ -24,16 +24,12 @@
 namespace smq {
 namespace {
 
-// The batch concepts must detect the native implementations and the
-// erased boundary alike.
-static_assert(BatchPushScheduler<StealingMultiQueue<>>);
-static_assert(BatchPopScheduler<StealingMultiQueue<>>);
-static_assert(BatchPushScheduler<OptimizedMultiQueue>);
-static_assert(BatchPopScheduler<OptimizedMultiQueue>);
-static_assert(BatchPushScheduler<GlobalHeapScheduler>);
-static_assert(BatchPopScheduler<GlobalHeapScheduler>);
-static_assert(BatchPushScheduler<AnyScheduler>);
-static_assert(BatchPopScheduler<AnyScheduler>);
+// Batch push/pop are part of every handle: the native implementations
+// and the erased boundary alike.
+static_assert(PriorityScheduler<StealingMultiQueue<>>);
+static_assert(PriorityScheduler<OptimizedMultiQueue>);
+static_assert(PriorityScheduler<GlobalHeapScheduler>);
+static_assert(PriorityScheduler<AnyScheduler>);
 
 TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
   constexpr unsigned kThreads = 2;
@@ -48,12 +44,12 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
     }
     // Split the batch across the available tids.
     const std::size_t half = threads > 1 ? kTasks / 2 : kTasks;
-    sched.push_batch(0, std::span<const Task>(tasks.data(), half));
+    sched.handle(0).push_batch(std::span<const Task>(tasks.data(), half));
     if (threads > 1) {
-      sched.push_batch(1, std::span<const Task>(tasks.data() + half,
-                                                kTasks - half));
+      sched.handle(1).push_batch(
+          std::span<const Task>(tasks.data() + half, kTasks - half));
     }
-    for (unsigned tid = 0; tid < threads; ++tid) sched.flush(tid);
+    for (unsigned tid = 0; tid < threads; ++tid) sched.handle(tid).flush();
 
     // Drain through the batch interface, alternating tids. Single pops
     // can transiently fail (e.g. a failed steal), so only stop after
@@ -65,7 +61,7 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
       bool any = false;
       for (unsigned tid = 0; tid < threads; ++tid) {
         out.clear();
-        const std::size_t n = sched.try_pop_batch(tid, out, 7);
+        const std::size_t n = sched.handle(tid).try_pop_batch(out, 7);
         ASSERT_EQ(n, out.size()) << entry.name;
         for (const Task& t : out) popped.insert(t.payload);
         any = any || n > 0;

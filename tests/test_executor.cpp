@@ -18,8 +18,6 @@ static_assert(PriorityScheduler<SequentialScheduler>);
 static_assert(PriorityScheduler<ClassicMultiQueue>);
 static_assert(PriorityScheduler<OptimizedMultiQueue>);
 static_assert(PriorityScheduler<StealingMultiQueue<>>);
-static_assert(!FlushableScheduler<ClassicMultiQueue>);
-static_assert(FlushableScheduler<OptimizedMultiQueue>);
 
 TEST(Executor, RunsAllSeedTasksOnce) {
   SequentialScheduler sched;
@@ -54,7 +52,7 @@ TEST(Executor, CascadingTasksAllExecute) {
   EXPECT_EQ(run.stats.pops, executed.load());
 }
 
-TEST(Executor, FlushableSchedulerTerminates) {
+TEST(Executor, InsertBufferingSchedulerTerminates) {
   // With insert batching, tasks may sit in local buffers; termination
   // must flush them instead of hanging.
   OptimizedMqConfig cfg;

@@ -32,10 +32,11 @@ OptimizedMqConfig combo_config(const Combo& combo) {
 
 TEST_P(MqVariantCombos, SingleThreadRoundTripWithFlush) {
   OptimizedMultiQueue mq(1, combo_config(GetParam()));
-  for (std::uint64_t p = 0; p < 100; ++p) mq.push(0, Task{p, p});
-  mq.flush(0);  // insert batching buffers otherwise hold tasks back
+  auto h0 = mq.handle(0);
+  for (std::uint64_t p = 0; p < 100; ++p) h0.push(Task{p, p});
+  h0.flush();  // insert batching buffers otherwise hold tasks back
   std::vector<std::uint64_t> got;
-  while (auto t = mq.try_pop(0)) got.push_back(t->payload);
+  while (auto t = h0.try_pop()) got.push_back(t->payload);
   EXPECT_EQ(got.size(), 100u);
 }
 
@@ -50,23 +51,25 @@ TEST_P(MqVariantCombos, ConcurrentNoLossNoDuplication) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = mq.handle(tid);
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          mq.push(tid, Task{i, tid * kPerThread + i});
+          h.push(Task{i, tid * kPerThread + i});
           if (i % 4 == 3) {
-            if (auto t = mq.try_pop(tid)) local.push_back(t->payload);
+            if (auto t = h.try_pop()) local.push_back(t->payload);
           }
         }
-        mq.flush(tid);
-        while (auto t = mq.try_pop(tid)) local.push_back(t->payload);
+        h.flush();
+        while (auto t = h.try_pop()) local.push_back(t->payload);
         std::lock_guard<std::mutex> guard(merge_mutex);
         for (const std::uint64_t id : local) ++seen[id];
       });
     }
   }
   for (unsigned tid = 0; tid < kThreads; ++tid) {
-    mq.flush(tid);
-    while (auto t = mq.try_pop(tid)) ++seen[t->payload];
+    auto h = mq.handle(tid);
+    h.flush();
+    while (auto t = h.try_pop()) ++seen[t->payload];
   }
 
   EXPECT_EQ(seen.size(), kThreads * kPerThread);
@@ -96,10 +99,11 @@ TEST(MqVariants, InsertBatchingDefersUntilFullOrFlush) {
   cfg.insert_batch = 10;
   cfg.delete_batch = 1;
   OptimizedMultiQueue mq(1, cfg);
-  for (std::uint64_t p = 0; p < 5; ++p) mq.push(0, Task{p, p});
+  auto h0 = mq.handle(0);
+  for (std::uint64_t p = 0; p < 5; ++p) h0.push(Task{p, p});
   // Fewer than insert_batch tasks: nothing visible yet.
   EXPECT_EQ(mq.approx_size(), 0u);
-  mq.flush(0);
+  h0.flush();
   EXPECT_EQ(mq.approx_size(), 5u);
 }
 
@@ -110,11 +114,12 @@ TEST(MqVariants, DeleteBatchingServesBufferedTasksInOrder) {
   cfg.delete_policy = DeletePolicy::kBatching;
   cfg.delete_batch = 4;
   OptimizedMultiQueue mq(1, cfg);
-  for (std::uint64_t p : {9, 3, 7, 1}) mq.push(0, Task{p, p});
-  EXPECT_EQ(mq.try_pop(0)->priority, 1u);
-  EXPECT_EQ(mq.try_pop(0)->priority, 3u);
-  EXPECT_EQ(mq.try_pop(0)->priority, 7u);
-  EXPECT_EQ(mq.try_pop(0)->priority, 9u);
+  auto h0 = mq.handle(0);
+  for (std::uint64_t p : {9, 3, 7, 1}) h0.push(Task{p, p});
+  EXPECT_EQ(h0.try_pop()->priority, 1u);
+  EXPECT_EQ(h0.try_pop()->priority, 3u);
+  EXPECT_EQ(h0.try_pop()->priority, 7u);
+  EXPECT_EQ(h0.try_pop()->priority, 9u);
 }
 
 TEST(MqVariants, TemporalLocalityNeverChangesWithZeroProbability) {
@@ -124,10 +129,11 @@ TEST(MqVariants, TemporalLocalityNeverChangesWithZeroProbability) {
   cfg.p_insert_change = 0.0;  // after the first sample, stick forever
   cfg.p_delete_change = 0.0;
   OptimizedMultiQueue mq(1, cfg);
-  for (std::uint64_t p = 0; p < 20; ++p) mq.push(0, Task{p, p});
+  auto h0 = mq.handle(0);
+  for (std::uint64_t p = 0; p < 20; ++p) h0.push(Task{p, p});
   // All in one queue + sticky delete queue: exact priority order.
   std::uint64_t count = 0;
-  while (auto t = mq.try_pop(0)) {
+  while (auto t = h0.try_pop()) {
     EXPECT_EQ(t->priority, count);
     ++count;
   }

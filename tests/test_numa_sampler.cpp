@@ -175,8 +175,10 @@ TEST(NumaSampler, SmqVictimResamplingIsBounded) {
   cfg.topology = &topo;
   cfg.numa_weight_k = 1e9;
   SmqHeap smq(2, cfg);
-  for (std::uint64_t i = 0; i < 64; ++i) smq.push(0, Task{i, i});
-  const std::optional<Task> stolen = smq.try_pop(1);
+  auto h0 = smq.handle(0);
+  auto h1 = smq.handle(1);
+  for (std::uint64_t i = 0; i < 64; ++i) h0.push(Task{i, i});
+  const std::optional<Task> stolen = h1.try_pop();
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(stolen->priority, 0u);
   EXPECT_GT(smq.steals(1), 0u);

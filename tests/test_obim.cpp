@@ -53,14 +53,15 @@ TEST(ChunkBag, CrossNodeStealing) {
 
 TEST(Obim, SingleThreadPopsByLevel) {
   Obim obim(1, {.chunk_size = 2, .delta_shift = 4});  // delta = 16
+  auto h0 = obim.handle(0);
   // Priorities 0..63 -> levels 0,16,32,48.
   for (std::uint64_t p = 63; p < 64; --p) {
-    obim.push(0, Task{p, p});
+    h0.push(Task{p, p});
     if (p == 0) break;
   }
-  obim.flush(0);
+  h0.flush();
   std::vector<std::uint64_t> got;
-  while (auto t = obim.try_pop(0)) got.push_back(t->priority);
+  while (auto t = h0.try_pop()) got.push_back(t->priority);
   ASSERT_EQ(got.size(), 64u);
   // Level order must hold: every task from level L comes before any task
   // from level L' > L (within a level, chunk order is unordered).
@@ -71,10 +72,11 @@ TEST(Obim, SingleThreadPopsByLevel) {
 
 TEST(Obim, ChunkSizeOneIsFullyOrderedPerLevel) {
   Obim obim(1, {.chunk_size = 1, .delta_shift = 0});  // level == priority
-  for (std::uint64_t p : {9, 4, 7, 1, 3}) obim.push(0, Task{p, p});
-  obim.flush(0);
+  auto h0 = obim.handle(0);
+  for (std::uint64_t p : {9, 4, 7, 1, 3}) h0.push(Task{p, p});
+  h0.flush();
   std::vector<std::uint64_t> got;
-  while (auto t = obim.try_pop(0)) got.push_back(t->priority);
+  while (auto t = h0.try_pop()) got.push_back(t->priority);
   EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 3, 4, 7, 9}));
 }
 
@@ -90,24 +92,26 @@ TEST(Obim, ConcurrentNoLossNoDuplication) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = obim.handle(tid);
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
-          obim.push(tid, Task{id % 512, id});
+          h.push(Task{id % 512, id});
           if (i % 3 == 2) {
-            if (auto t = obim.try_pop(tid)) local.push_back(t->payload);
+            if (auto t = h.try_pop()) local.push_back(t->payload);
           }
         }
-        obim.flush(tid);
-        while (auto t = obim.try_pop(tid)) local.push_back(t->payload);
+        h.flush();
+        while (auto t = h.try_pop()) local.push_back(t->payload);
         std::lock_guard<std::mutex> guard(merge_mutex);
         for (const std::uint64_t id : local) ++seen[id];
       });
     }
   }
   for (unsigned tid = 0; tid < kThreads; ++tid) {
-    obim.flush(tid);
-    while (auto t = obim.try_pop(tid)) ++seen[t->payload];
+    auto h = obim.handle(tid);
+    h.flush();
+    while (auto t = h.try_pop()) ++seen[t->payload];
   }
   EXPECT_EQ(seen.size(), kThreads * kPerThread);
   for (const auto& [id, count] : seen) {
@@ -119,13 +123,14 @@ TEST(Pmod, MergesWhenLevelsTooSparse) {
   // Fine delta + priorities spread over a huge range => every level holds
   // a single task, far below a chunk's worth => PMOD must coarsen.
   Pmod pmod(1, {.chunk_size = 4, .delta_shift = 0, .adapt_interval = 16});
+  auto h0 = pmod.handle(0);
   const unsigned initial_shift = pmod.current_shift();
   for (std::uint64_t i = 0; i < 4000; ++i) {
-    pmod.push(0, Task{i * 1024, i});
+    h0.push(Task{i * 1024, i});
   }
-  pmod.flush(0);
+  h0.flush();
   std::uint64_t popped = 0;
-  while (auto t = pmod.try_pop(0)) ++popped;
+  while (auto t = h0.try_pop()) ++popped;
   EXPECT_EQ(popped, 4000u);
   EXPECT_GT(pmod.current_shift(), initial_shift);
 }
@@ -137,13 +142,14 @@ TEST(Pmod, SplitsWhenOneLevelDominates) {
                 .delta_shift = 20,
                 .adapt_interval = 16,
                 .split_threshold = 256});
+  auto h0 = pmod.handle(0);
   const unsigned initial_shift = pmod.current_shift();
   for (std::uint64_t i = 0; i < 4000; ++i) {
-    pmod.push(0, Task{i % 1024, i});
+    h0.push(Task{i % 1024, i});
   }
-  pmod.flush(0);
+  h0.flush();
   std::uint64_t popped = 0;
-  while (auto t = pmod.try_pop(0)) ++popped;
+  while (auto t = h0.try_pop()) ++popped;
   EXPECT_EQ(popped, 4000u);
   EXPECT_LT(pmod.current_shift(), initial_shift);
 }
@@ -156,24 +162,26 @@ TEST(Pmod, NoLossAcrossShiftChanges) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < 2; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = pmod.handle(tid);
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < 4000; ++i) {
           const std::uint64_t id = tid * 4000 + i;
-          pmod.push(tid, Task{(id * 37) % 100000, id});
+          h.push(Task{(id * 37) % 100000, id});
           if (i % 2 == 1) {
-            if (auto t = pmod.try_pop(tid)) local.push_back(t->payload);
+            if (auto t = h.try_pop()) local.push_back(t->payload);
           }
         }
-        pmod.flush(tid);
-        while (auto t = pmod.try_pop(tid)) local.push_back(t->payload);
+        h.flush();
+        while (auto t = h.try_pop()) local.push_back(t->payload);
         std::lock_guard<std::mutex> guard(merge_mutex);
         for (const std::uint64_t id : local) ++seen[id];
       });
     }
   }
   for (unsigned tid = 0; tid < 2; ++tid) {
-    pmod.flush(tid);
-    while (auto t = pmod.try_pop(tid)) ++seen[t->payload];
+    auto h = pmod.handle(tid);
+    h.flush();
+    while (auto t = h.try_pop()) ++seen[t->payload];
   }
   EXPECT_EQ(seen.size(), 8000u);
   for (const auto& [id, count] : seen) ASSERT_EQ(count, 1);
