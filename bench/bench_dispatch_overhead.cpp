@@ -13,7 +13,7 @@
 // always epoch-reclaim, so theirs is the plateau the soak test watches).
 // Exit 1 when any row's answer disagrees with the sequential oracle.
 //
-//   SMQ_BENCH_SCALE=0.1 SMQ_BENCH_THREADS=2 ./bench_dispatch_overhead
+//   ./bench_dispatch_overhead        # 51000-vertex rand, 8 threads
 //   ./bench_dispatch_overhead --vertices 100000 --threads 4 --reps 5
 //                             --batch-size 64 [--json PATH]
 #include <fstream>
@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "harness/workloads.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
@@ -56,11 +55,9 @@ struct ModeSpec {
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const double scale = bench::bench_scale();
-  const auto vertices = static_cast<std::uint64_t>(args.get_int(
-      "vertices", static_cast<std::int64_t>(50000 * scale) + 1000));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", static_cast<std::int64_t>(bench::bench_max_threads())));
+  const auto vertices =
+      static_cast<std::uint64_t>(args.get_int("vertices", 51000));
+  const auto threads = static_cast<unsigned>(args.get_int("threads", 8));
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const std::string batch_size = args.get("batch-size", "64");
 

@@ -7,23 +7,21 @@
 #include <iostream>
 
 #include "core/stealing_multiqueue.h"
-#include "harness/bench_main.h"
 #include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/reld.h"
 #include "queues/skiplist.h"
 #include "queues/spraylist.h"
 #include "rank/live_rank.h"
+#include "support/cli.h"
 
 int main(int argc, char** argv) {
   using namespace smq;
-  using namespace smq::bench;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-  print_preamble("Extension: live rank probe of real implementations",
-                 opts);
-
-  const std::size_t elements = opts.full ? 200000 : 50000;
-  const unsigned threads = opts.max_threads;
+  const ArgParser args(argc, argv);
+  const std::size_t elements = args.has_flag("full") ? 200000 : 50000;
+  const auto threads = static_cast<unsigned>(args.get_int("threads", 8));
+  std::cout << "=== Extension: live rank probe of real implementations "
+               "===\n\n";
 
   TablePrinter table({"scheduler", "mean rank", "max rank"});
   auto probe = [&](const std::string& name, auto&& sched) {

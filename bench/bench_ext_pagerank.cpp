@@ -13,19 +13,18 @@
 #include "algorithms/pagerank.h"
 #include "core/stealing_multiqueue.h"
 #include "graph/generators.h"
-#include "harness/bench_main.h"
 #include "queues/classic_multiqueue.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
 #include "queues/spraylist.h"
+#include "support/cli.h"
 
 int main(int argc, char** argv) {
   using namespace smq;
-  using namespace smq::bench;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-  print_preamble("Extension: residual-priority PageRank", opts);
-
-  const unsigned scale = opts.full ? 14 : 11;
+  const ArgParser args(argc, argv);
+  const unsigned scale = args.has_flag("full") ? 14 : 11;
+  const auto threads = static_cast<unsigned>(args.get_int("threads", 8));
+  std::cout << "=== Extension: residual-priority PageRank ===\n\n";
   const Graph graph = make_rmat(scale, {.seed = 57});
   PageRankOptions pr;
   // Push-based PR does O(initial mass / tolerance) harvests in the worst
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
             << "iteration needed " << ref.iterations << " rounds = "
             << ref.iterations * graph.num_vertices() << " vertex updates\n\n";
 
-  const unsigned threads = opts.max_threads;
   TablePrinter table({"scheduler", "tasks", "wasted", "time ms",
                       "max err vs power iter"});
   auto report = [&](const std::string& name, auto&& sched) {

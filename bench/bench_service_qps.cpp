@@ -14,7 +14,7 @@
 // JSON trajectory follows write_service_json (same shape as `smq_run
 // --service --json`), so tools/perf_check.py can read either source.
 //
-//   SMQ_BENCH_SCALE=0.1 SMQ_BENCH_THREADS=2 ./bench_service_qps
+//   ./bench_service_qps              # 41000-vertex road, threads 1,8
 //   ./bench_service_qps --vertices 40000 --threads 1,4 --queries 200
 //                       --qps 500,2000 --reps 3 [--json PATH]
 #include <cstdlib>
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/workloads.h"
 #include "registry/graph_registry.h"
 #include "registry/params.h"
 #include "registry/service_factory.h"
@@ -34,11 +33,15 @@
 int main(int argc, char** argv) {
   using namespace smq;
   const ArgParser args(argc, argv);
-  const double scale = bench::bench_scale();
-  const auto vertices = static_cast<std::uint64_t>(args.get_int(
-      "vertices", static_cast<std::int64_t>(40000 * scale) + 1000));
-  const std::vector<unsigned> thread_counts = parse_thread_list(
-      args.get("threads", "1," + std::to_string(bench::bench_max_threads())));
+  const auto vertices =
+      static_cast<std::uint64_t>(args.get_int("vertices", 41000));
+  std::vector<unsigned> thread_counts;
+  try {
+    thread_counts = parse_thread_list(args.get("threads", "1,8"));
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
   const auto queries =
       static_cast<std::size_t>(args.get_int("queries", 150));
   const int reps = static_cast<int>(args.get_int("reps", 3));

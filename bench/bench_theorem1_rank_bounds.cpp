@@ -9,16 +9,16 @@
 //    in batch size B, and degrades with scheduler skew gamma.
 #include <iostream>
 
-#include "harness/bench_main.h"
 #include "rank/rank_sim.h"
+#include "support/cli.h"
 
 int main(int argc, char** argv) {
   using namespace smq;
-  using namespace smq::bench;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-  print_preamble("Theorem 1: empirical rank bounds", opts);
+  const bool full = ArgParser(argc, argv).has_flag("full");
+  std::cout << "=== Theorem 1: empirical rank bounds ("
+            << (full ? "full" : "quick") << " size, --full) ===\n\n";
 
-  const std::size_t elements = opts.full ? (1u << 18) : (1u << 15);
+  const std::size_t elements = full ? (1u << 18) : (1u << 15);
 
   {
     std::cout << "classic MQ: mean deletion rank vs m (expect ~linear in m)\n";

@@ -110,7 +110,7 @@ class Graph {
   const Coordinates& coordinates() const noexcept { return coords_; }
   void set_coordinates(Coordinates coords) { coords_ = std::move(coords); }
 
-  /// Human-readable description, printed by the Table 1 bench.
+  /// Human-readable description of how the graph was built.
   const std::string& description() const noexcept { return description_; }
   void set_description(std::string text) { description_ = std::move(text); }
 

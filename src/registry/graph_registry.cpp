@@ -7,7 +7,6 @@
 
 #include "graph/binary_io.h"
 #include "graph/dimacs.h"
-#include "graph/dimacs_catalog.h"
 #include "graph/generators.h"
 
 namespace smq {
@@ -201,56 +200,6 @@ void register_builtins(GraphRegistry& reg) {
           },
       .inline_param = "file",
   });
-
-  // Named 9th-DIMACS road networks (--graph usa/ctr/west/east/ny):
-  // resolved against the fetch tool's cache directory, validated
-  // against the catalog's pinned Table 1 sizes on load.
-  for (const DimacsGraphInfo& info : dimacs_catalog()) {
-    reg.add({
-        .name = info.key,
-        .description =
-            std::string("DIMACS road network ") + info.file_stem + " (" +
-            info.label + ", fetched by tools/fetch_dimacs.py)",
-        .tunables = {{"dir", "",
-                      "directory holding the fetched .gr/.co files "
-                      "(default $SMQ_GRAPH_DIR or data/dimacs/cache)"},
-                     {"weight-scale", "0",
-                      "A* heuristic scale; 0 disables the heuristic "
-                      "(always admissible)"}},
-        .make =
-            // The catalog has static storage duration; the pointer is
-            // valid for the registry's lifetime.
-            [info = &info](const ParamMap& params) {
-              std::string dir = params.get("dir");
-              if (dir.empty()) dir = default_dimacs_dir();
-              const std::string gr = dimacs_gr_path(*info, dir);
-              if (!std::filesystem::exists(gr)) {
-                throw std::runtime_error(
-                    std::string("graph '") + info->key + "': " + gr +
-                    " not found; fetch it with `python3 "
-                    "tools/fetch_dimacs.py --graphs " +
-                    info->key + " --graph-cache " + dir + "`");
-              }
-              Graph graph = load_dimacs_gr(gr);
-              if (graph.num_vertices() != info->vertices ||
-                  graph.num_edges() != info->arcs) {
-                throw std::runtime_error(
-                    std::string("graph '") + info->key + "': " + gr +
-                    " has " + std::to_string(graph.num_vertices()) + "/" +
-                    std::to_string(graph.num_edges()) +
-                    " vertices/arcs, catalog pins " +
-                    std::to_string(info->vertices) + "/" +
-                    std::to_string(info->arcs) + " (corrupt fetch?)");
-              }
-              const std::string co = dimacs_co_path(*info, dir);
-              if (std::filesystem::exists(co)) load_dimacs_co(co, graph);
-              graph.set_description(std::string(info->label) +
-                                    " road network (" + info->file_stem + ")");
-              return wrap(std::move(graph), std::string(info->key),
-                          params.get_double("weight-scale", 0));
-            },
-    });
-  }
 }
 
 /// Resolve `name` against the registry, honouring the "source:ARG"
@@ -319,20 +268,10 @@ GraphInstance GraphRegistry::create_cached(std::string_view name,
   if (std::filesystem::exists(path)) {
     try {
       // The display name is deliberately stable across machines and
-      // cache states ("usa(cached)", not the key hash): the perf gate
+      // cache states ("road(cached)", not the key hash): the perf gate
       // matches baseline rows on the report's graph name.
-      GraphInstance inst = wrap(load_binary_graph_mmap(path.string()),
-                                entry->name + "(cached)");
-      // Sources that expose a weight-scale tunable (the DIMACS road
-      // graphs) must keep it on the cached path too, or A* would run an
-      // inadmissible heuristic straight from the cache.
-      for (const Tunable& t : entry->tunables) {
-        if (t.name == "weight-scale") {
-          inst.weight_scale =
-              resolved.get_double("weight-scale", std::stod(t.default_value));
-        }
-      }
-      return inst;
+      return wrap(load_binary_graph_mmap(path.string()),
+                  entry->name + "(cached)");
     } catch (const std::exception&) {
       // Truncated or stale-format file: fall through and regenerate.
     }

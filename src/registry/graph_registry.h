@@ -54,8 +54,7 @@ class GraphRegistry : public NamedRegistry<GraphSourceEntry> {
   /// (page-in, not parse — the difference between seconds and minutes
   /// on the 58M-arc USA graph); the "binary" source itself is never
   /// re-cached. Cached instances carry the source defaults for
-  /// source/target metadata and honour a weight-scale tunable when the
-  /// source declares one. An unreadable or stale cache file (including
+  /// source/target metadata. An unreadable or stale cache file (including
   /// any v1 entry, whose key no longer matches) falls back to
   /// regeneration and is overwritten in the current format.
   GraphInstance create_cached(std::string_view name, const ParamMap& params,

@@ -5,9 +5,8 @@
 // virtual node counts and remote-weight divisors K; the driver runs its
 // scheduler x threads sweep once per grid point, rebuilding the
 // simulated Topology each time through the ordinary `numa` tunable
-// (scheduler_configs.h). The same parser backs `smq_run --numa-grid`
-// and the Table 16-27 bench binaries, so "the grid" means one thing
-// everywhere.
+// (scheduler_configs.h). The parser backs `smq_run --numa-grid`; the
+// Table 16-27 suites (suites.h) pin the same `numa` tunable per run.
 #pragma once
 
 #include <string>

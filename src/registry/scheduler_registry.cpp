@@ -263,31 +263,6 @@ void register_builtins(SchedulerRegistry& reg) {
   });
 
   reg.add({
-      .name = "dary-heap",
-      .description = "one global spinlocked d-ary heap (strict concurrent "
-                     "PQ anchor)",
-      .tunables = {},
-      .make =
-          [](unsigned threads, const ParamMap&) {
-            return AnyScheduler::make<GlobalHeapScheduler>(threads);
-          },
-  });
-
-  reg.add({
-      .name = "chunk-bag",
-      .description = "single unordered chunk bag (no priorities; "
-                     "throughput anchor)",
-      .tunables = {{"chunk-size", "64", "tasks per chunk"}},
-      .make =
-          [](unsigned threads, const ParamMap& params) {
-            ChunkBagScheduler::Config cfg;
-            cfg.chunk_size =
-                static_cast<std::size_t>(params.get_int("chunk-size", 64));
-            return AnyScheduler::make<ChunkBagScheduler>(threads, cfg);
-          },
-  });
-
-  reg.add({
       .name = "sequential",
       .description = "exact single-thread d-ary heap (speedup baseline)",
       .max_threads = 1,

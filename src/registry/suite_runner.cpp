@@ -32,7 +32,9 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
     table.add_row(
         {label, std::to_string(row.threads),
          std::string(row.dispatch),
-         row.numa_grid ? row.numa.label() : report.params.get("numa", "-"),
+         row.numa_grid ? row.numa.label()
+                       : row.row_params.get("numa",
+                                            report.params.get("numa", "-")),
          TablePrinter::fmt(row.result.run.seconds * 1e3),
          std::to_string(stats.pops), std::to_string(stats.wasted),
          ref != nullptr ? TablePrinter::fmt(work_inc) : "-",
@@ -316,6 +318,32 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
   return 0;
 }
 
+std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
+                                                std::ostream& err) {
+  SuiteOptions opts;
+  opts.cli_params = ParamMap::from_args(args);
+
+  const std::optional<bool> want_static = parse_static_dispatch(args, err);
+  if (!want_static) return std::nullopt;
+  opts.static_dispatch = *want_static;
+
+  if (args.has_flag("threads")) {
+    try {
+      opts.threads = parse_thread_list(args.get("threads"));
+    } catch (const std::exception& e) {
+      err << e.what() << "\n";
+      return std::nullopt;
+    }
+  }
+  opts.reps = static_cast<int>(args.get_int("reps", 1));
+  opts.validate = !args.has_flag("no-validate");
+  opts.algo_override = args.get("algo");
+  opts.graph_override = args.get("graph");
+  opts.graph_cache = args.get("graph-cache");
+  opts.json_path = args.get("json");
+  return opts;
+}
+
 int run_suite_main(std::string_view suite_name, int argc, char** argv) {
   const ArgParser args(argc, argv);
   const SuiteDef* suite = find_suite(suite_name);
@@ -338,31 +366,11 @@ int run_suite_main(std::string_view suite_name, int argc, char** argv) {
     return 0;
   }
 
-  SuiteOptions opts;
-  opts.cli_params = ParamMap::from_args(args);
-
-  const std::optional<bool> want_static =
-      parse_static_dispatch(args, std::cerr);
-  if (!want_static) return 2;
-  opts.static_dispatch = *want_static;
-
-  if (args.has_flag("threads")) {
-    try {
-      opts.threads = parse_thread_list(args.get("threads"));
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
-  }
-  opts.reps = static_cast<int>(args.get_int("reps", 1));
-  opts.validate = !args.has_flag("no-validate");
-  opts.algo_override = args.get("algo");
-  opts.graph_override = args.get("graph");
-  opts.graph_cache = args.get("graph-cache");
-  opts.json_path = args.get("json");
+  const std::optional<SuiteOptions> opts = parse_suite_options(args, std::cerr);
+  if (!opts) return 2;
 
   try {
-    return run_suite(*suite, opts, std::cout, std::cerr);
+    return run_suite(*suite, *opts, std::cout, std::cerr);
   } catch (const std::exception& e) {
     std::cerr << "suite " << suite->name << ": " << e.what() << "\n";
     return 2;

@@ -3,11 +3,11 @@
 //
 // One (scheduler, params, threads) result row and one table/JSON
 // emission path, used by both the ad-hoc `smq_run --sched ...` sweep and
-// the suite expansion (`smq_run --suite fig3_6`, bench_fig*_* wrappers)
-// — "the suite emits the same rows as an ad-hoc sweep" is structural,
-// not a convention. run_suite() expands a SuiteDef against the
-// registries; run_suite_main() is the complete CLI entry point the thin
-// bench wrappers delegate to.
+// the suite expansion (`smq_run --suite fig3_6`,
+// bench_fig2_main_comparison) — "the suite emits the same rows as an
+// ad-hoc sweep" is structural, not a convention. run_suite() expands a
+// SuiteDef against the registries; run_suite_main() is `smq_run
+// --suite`'s complete CLI entry point.
 #pragma once
 
 #include <iosfwd>
@@ -126,10 +126,13 @@ struct SuiteOptions {
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
               std::ostream& out, std::ostream& err);
 
-/// Full CLI entry point over run_suite(): parses --threads/--reps/
-/// --dispatch/--json/--graph/--algo/--graph-cache/--no-validate plus
-/// scheduler tunables from argv. The bench figure binaries are thin
-/// wrappers over this.
+/// The suite CLI: --threads/--reps/--dispatch/--json/--graph/--algo/
+/// --graph-cache/--no-validate plus scheduler and graph tunables.
+/// Returns nullopt after explaining a malformed value on `err`.
+std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
+                                                std::ostream& err);
+
+/// Full CLI entry point over run_suite() for `smq_run --suite NAME`.
 int run_suite_main(std::string_view suite_name, int argc, char** argv);
 
 }  // namespace smq

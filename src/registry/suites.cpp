@@ -1,5 +1,7 @@
 #include "registry/suites.h"
 
+#include <tuple>
+
 namespace smq {
 
 namespace {
@@ -17,6 +19,9 @@ SuiteRun mq_baseline() { return run_of("mq-c4", {}, "mq-c4 (baseline)"); }
 
 std::vector<SuiteDef> build_suites() {
   std::vector<SuiteDef> defs;
+  // The remote-weight divisors K of the NUMA tables (16-27).
+  const std::vector<std::string> numa_ks{"1",  "2",  "4",   "8",  "16",
+                                         "32", "64", "128", "256"};
 
   // Figure 1 (+ Figures 17-18, Tables 12-13): SMQ(heap) ablation,
   // p_steal x steal-buffer size, vs classic MQ C=4.
@@ -129,6 +134,60 @@ std::vector<SuiteDef> build_suites() {
     d.threads = {4};
     for (const unsigned c : {1u, 2u, 4u, 8u, 16u}) {
       d.runs.push_back(run_of("mq-c" + std::to_string(c)));
+    }
+    defs.push_back(std::move(d));
+  }
+
+  // Tables 16-23 (Appendix E.1-E.4): NUMA weight K ablation for the
+  // four optimized-MQ combos on two virtual nodes. K = 1 is the
+  // non-NUMA algorithm; the `remote` column is the measured remote
+  // fraction of the sampled queue touches.
+  {
+    SuiteDef d;
+    d.name = "table16_23";
+    d.figure = "Tables 16-23";
+    d.description = "NUMA weight K ablation: optimized MQ combos";
+    d.threads = {4};
+    d.runs.push_back(mq_baseline());
+    // TL/TL is the mq-tl-p16 preset; the mixed combos pin both policies
+    // on the base mq-opt family at the same p = 1/16 and buffers of 16.
+    for (const std::string& k : numa_ks) {
+      d.runs.push_back(
+          run_of("mq-tl-p16", {{"numa", "nodes=2,k=" + k}}, "TL/TL K=" + k));
+    }
+    for (const auto& [label, insert, del] :
+         {std::tuple{"TL/B", "local", "batch"},
+          std::tuple{"B/TL", "batch", "local"},
+          std::tuple{"B/B", "batch", "batch"}}) {
+      for (const std::string& k : numa_ks) {
+        d.runs.push_back({"mq-opt",
+                          params_of({{"insert-policy", insert},
+                                     {"delete-policy", del},
+                                     {"p-insert", "1/16"},
+                                     {"p-delete", "1/16"},
+                                     {"insert-batch", "16"},
+                                     {"delete-batch", "16"},
+                                     {"numa", "nodes=2,k=" + k}}),
+                          std::string(label) + " K=" + k});
+      }
+    }
+    defs.push_back(std::move(d));
+  }
+
+  // Tables 24-27 (Appendix E.5-E.6): the same K ablation for SMQ with
+  // d-ary-heap and skip-list local queues. Only steal victims are
+  // sampled, so SMQ should be largely insensitive to K.
+  {
+    SuiteDef d;
+    d.name = "table24_27";
+    d.figure = "Tables 24-27";
+    d.description = "NUMA weight K ablation: SMQ heap and skip list";
+    d.threads = {4};
+    d.runs.push_back(mq_baseline());
+    for (const char* scheduler : {"smq", "smq-skiplist"}) {
+      for (const std::string& k : numa_ks) {
+        d.runs.push_back(run_of(scheduler, {{"numa", "nodes=2,k=" + k}}));
+      }
     }
     defs.push_back(std::move(d));
   }

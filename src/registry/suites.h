@@ -1,15 +1,15 @@
-// Figure suites: the paper's remaining ablation studies as declarative
-// preset sweeps.
+// Figure suites: the paper's ablation studies and NUMA tables as
+// declarative preset sweeps.
 //
 // A suite names the exact (scheduler preset, per-run params) tuples,
 // thread counts and default graph that reproduce one figure or table of
 // conf_ppopp_PostnikovaKNA22 through the registry runners. `smq_run
-// --suite fig3_6` (and the thin bench wrappers, bench_fig*_*.cpp) expand
-// a suite with registry/suite_runner.h, emitting the same ASCII table
-// and JSON rows as an ad-hoc `--sched` sweep — so every figure's
-// configuration is enumerable, validated against the sequential oracle,
-// and gateable by tools/perf_check.py. The expansions are golden-tested
-// in tests/test_suite_expansion.cpp; change them deliberately.
+// --suite fig3_6` expands a suite with registry/suite_runner.h,
+// emitting the same ASCII table and JSON rows as an ad-hoc `--sched`
+// sweep — so every figure's configuration is enumerable, validated
+// against the sequential oracle, and gateable by tools/perf_check.py.
+// The expansions are golden-tested in tests/test_suite_expansion.cpp;
+// change them deliberately.
 #pragma once
 
 #include <string>

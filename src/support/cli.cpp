@@ -50,16 +50,6 @@ double ArgParser::get_double(std::string_view name, double fallback) const {
   return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtoll(v, nullptr, 10) : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtod(v, nullptr) : fallback;
-}
-
 std::vector<std::string> split_list(std::string_view text, char sep) {
   std::vector<std::string> out;
   for (std::size_t pos = 0; pos <= text.size();) {

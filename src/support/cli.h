@@ -33,10 +33,6 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
-/// Environment variable helpers used by every bench to scale workloads.
-std::int64_t env_int(const char* name, std::int64_t fallback);
-double env_double(const char* name, double fallback);
-
 /// Split `text` on `sep`, dropping empty segments — the list syntax of
 /// every CLI value here ("smq,mq", "nodes=1,2,4", "1,8,64"). One
 /// definition so the parsers' edge cases cannot drift apart.

@@ -1,8 +1,7 @@
 // Shared scheduler factories for the algorithm test suites: every
 // algorithm is validated against its sequential oracle under every
-// scheduler family the paper evaluates and the registry's three anchors
-// (global heap, global skip list, chunk bag), each through its own
-// native handle.
+// scheduler family the paper evaluates and the registry's exact
+// global skip list, each through its own native handle.
 #pragma once
 
 #include <memory>
@@ -85,30 +84,15 @@ struct PmodFactory {
   }
 };
 
-struct GlobalHeapFactory {
-  static constexpr const char* kName = "GlobalHeap";
-  using Type = GlobalHeapScheduler;
-  static Type make(unsigned threads) { return Type(threads); }
-};
-
 struct GlobalSkipListFactory {
   static constexpr const char* kName = "GlobalSkipList";
   using Type = GlobalSkipListScheduler;
   static Type make(unsigned threads) { return Type(threads, {.seed = 23}); }
 };
 
-struct ChunkBagFactory {
-  static constexpr const char* kName = "ChunkBag";
-  using Type = ChunkBagScheduler;
-  static Type make(unsigned threads) {
-    return Type(threads, {.chunk_size = 8});
-  }
-};
-
 using AllSchedulerFactories =
     ::testing::Types<SmqHeapFactory, SmqSkipListFactory, ClassicMqFactory,
                      OptimizedMqFactory, ReldFactory, SprayListFactory,
-                     ObimFactory, PmodFactory, GlobalHeapFactory,
-                     GlobalSkipListFactory, ChunkBagFactory>;
+                     ObimFactory, PmodFactory, GlobalSkipListFactory>;
 
 }  // namespace smq::testing

@@ -14,7 +14,6 @@
 
 #include "core/stealing_multiqueue.h"
 #include "queues/mq_variants.h"
-#include "registry/adapters.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
@@ -28,7 +27,6 @@ namespace {
 // and the erased boundary alike.
 static_assert(PriorityScheduler<StealingMultiQueue<>>);
 static_assert(PriorityScheduler<OptimizedMultiQueue>);
-static_assert(PriorityScheduler<GlobalHeapScheduler>);
 static_assert(PriorityScheduler<AnyScheduler>);
 
 TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
@@ -168,7 +166,7 @@ TEST(BatchDispatch, BatchedExecutorTerminatesAtAwkwardBatchSizes) {
   // 1 = one task per handle call; 3 = flushes mid-task; 27 = exact multiple of the
   // fanout; 100000 = larger than the whole task graph (single flush).
   for (const std::size_t batch_size : {1ul, 3ul, 27ul, 100000ul}) {
-    for (const char* name : {"smq", "mq-opt", "obim", "chunk-bag"}) {
+    for (const char* name : {"smq", "mq-opt", "obim"}) {
       AnyScheduler sched =
           SchedulerRegistry::instance().create(name, 4, {});
       EXPECT_EQ(run_cascade(sched, 4, batch_size, kDepth, kFanout), expected)

@@ -6,11 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <regex>
 #include <sstream>
-
-#include "graph/dimacs_catalog.h"
 
 namespace smq {
 namespace {
@@ -84,48 +80,6 @@ TEST(DimacsHardening, RejectsDuplicateProblemLine) {
 TEST(DimacsHardening, RejectsArcMissingFields) {
   std::istringstream in("p sp 2 1\na 1 2\n");
   EXPECT_THROW(read_dimacs_gr(in), std::runtime_error);
-}
-
-TEST(DimacsCatalog, LookupAndPaths) {
-  const DimacsGraphInfo* usa = find_dimacs_graph("usa");
-  ASSERT_NE(usa, nullptr);
-  EXPECT_EQ(usa->vertices, 23947347u);
-  EXPECT_EQ(usa->arcs, 58333344u);
-  EXPECT_EQ(dimacs_gr_path(*usa, "/cache"), "/cache/USA-road-d.USA.gr");
-  EXPECT_EQ(dimacs_co_path(*usa, "/cache"), "/cache/USA-road-d.USA.co");
-  EXPECT_EQ(find_dimacs_graph("nope"), nullptr);
-}
-
-// The fetch tool's python MANIFEST pins the same |V|/|E| as the C++
-// catalog; parse the script so the two cannot drift apart silently.
-TEST(DimacsCatalog, MatchesFetchToolManifest) {
-#ifndef SMQ_SOURCE_DIR
-  GTEST_SKIP() << "SMQ_SOURCE_DIR not defined";
-#else
-  std::ifstream script(std::string(SMQ_SOURCE_DIR) +
-                       "/tools/fetch_dimacs.py");
-  ASSERT_TRUE(script.is_open()) << "tools/fetch_dimacs.py not found";
-  std::stringstream buffer;
-  buffer << script.rdbuf();
-  const std::string text = buffer.str();
-
-  const std::regex entry_re(
-      "\"([a-z]+)\": \\{\"stem\": \"([^\"]+)\", "
-      "\"vertices\": ([0-9]+), \"arcs\": ([0-9]+)\\}");
-  std::size_t matched = 0;
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), entry_re);
-       it != std::sregex_iterator(); ++it, ++matched) {
-    const std::string key = (*it)[1];
-    const DimacsGraphInfo* info = find_dimacs_graph(key);
-    ASSERT_NE(info, nullptr) << "fetch tool graph '" << key
-                             << "' missing from dimacs_catalog()";
-    EXPECT_EQ(std::string(info->file_stem), (*it)[2]) << key;
-    EXPECT_EQ(info->vertices, std::stoull((*it)[3])) << key;
-    EXPECT_EQ(info->arcs, std::stoull((*it)[4])) << key;
-  }
-  EXPECT_EQ(matched, dimacs_catalog().size())
-      << "catalog and fetch tool manifest list different graphs";
-#endif
 }
 
 }  // namespace

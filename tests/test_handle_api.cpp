@@ -36,9 +36,7 @@ static_assert(PriorityScheduler<OptimizedMultiQueue>);
 static_assert(PriorityScheduler<Obim>);
 static_assert(PriorityScheduler<Pmod>);
 static_assert(PriorityScheduler<ReldQueue>);
-static_assert(PriorityScheduler<GlobalHeapScheduler>);
 static_assert(PriorityScheduler<GlobalSkipListScheduler>);
-static_assert(PriorityScheduler<ChunkBagScheduler>);
 static_assert(PriorityScheduler<SequentialScheduler>);
 static_assert(PriorityScheduler<SprayList>);
 // ... and the type-erasure boundary forwards them.
@@ -100,10 +98,6 @@ TEST(HandleApi, BufferedInsertsPublishThroughHandleFlush) {
   cfg.seed = 9;
   OptimizedMultiQueue mq(2, cfg);
   expect_flush_publishes(mq, "mq-opt");
-
-  // chunk-bag fills a thread-local chunk before publishing it.
-  ChunkBagScheduler bag(2, {.chunk_size = 64});
-  expect_flush_publishes(bag, "chunk-bag");
 }
 
 TEST(HandleApi, ExecutorTerminatesWithBufferedHandlesAtEveryBatchSize) {

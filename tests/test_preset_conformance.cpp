@@ -227,7 +227,6 @@ TEST(PresetConformance, StaticDispatchRunsPresetKeysEndToEnd) {
   }
   // The long tail stays virtual-only — and says so via the predicate.
   EXPECT_FALSE(has_static_dispatch("reld-c2"));
-  EXPECT_FALSE(has_static_dispatch("chunk-bag"));
   EXPECT_FALSE(has_static_dispatch("no-such-sched"));
 }
 

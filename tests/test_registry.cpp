@@ -23,12 +23,12 @@ namespace {
 
 // ---- scheduler registry ---------------------------------------------------
 
-TEST(SchedulerRegistry, ListsAtLeastTheTwelveBuiltins) {
+TEST(SchedulerRegistry, ListsAtLeastTheTenBuiltins) {
   const auto names = SchedulerRegistry::instance().names();
-  EXPECT_GE(names.size(), 12u);
+  EXPECT_GE(names.size(), 10u);
   for (const char* expected :
        {"smq", "smq-skiplist", "mq", "mq-opt", "obim", "pmod", "spraylist",
-        "reld", "lockfree-skiplist", "dary-heap", "chunk-bag", "sequential"}) {
+        "reld", "lockfree-skiplist", "sequential"}) {
     EXPECT_NE(SchedulerRegistry::instance().find(expected), nullptr)
         << "missing scheduler: " << expected;
   }
@@ -305,24 +305,6 @@ TEST(GraphRegistry, CorruptCacheFileRegenerates) {
   EXPECT_EQ(second.graph->num_edges(), first.graph->num_edges());
 
   std::filesystem::remove_all(cache);
-}
-
-TEST(GraphRegistry, RoadNetworkSourcesRegisteredAndGuideToFetch) {
-  // The five catalog road networks are registered as named sources…
-  for (const char* key : {"usa", "ctr", "west", "east", "ny"}) {
-    EXPECT_NE(GraphRegistry::instance().find(key), nullptr) << key;
-  }
-  // …and asking for one that is not fetched yet fails with a pointer to
-  // the fetch tool, not a bare ENOENT.
-  ParamMap params;
-  params.set("dir", "/nonexistent/dimacs");
-  try {
-    GraphRegistry::instance().create("west", params);
-    FAIL() << "expected a missing-graph error";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch_dimacs.py"), std::string::npos)
-        << "error should mention the fetch tool: " << e.what();
-  }
 }
 
 // ---- algorithm registry ---------------------------------------------------

@@ -41,9 +41,10 @@ std::vector<Tuple> grid_of(const SuiteDef& suite, const std::string& param,
 
 // ---- registry-level invariants --------------------------------------------
 
-TEST(SuiteRegistry, ListsExactlyTheSixFigureSuites) {
-  const std::vector<std::string> expected{"fig1",     "fig3_6",   "fig7_14",
-                                          "fig15_16", "fig19_20", "table2_3"};
+TEST(SuiteRegistry, ListsExactlyTheEightPaperSuites) {
+  const std::vector<std::string> expected{
+      "fig1",     "fig3_6",     "fig7_14",   "fig15_16",
+      "fig19_20", "table2_3", "table16_23", "table24_27"};
   EXPECT_EQ(suite_names(), expected);
   for (const std::string& name : expected) {
     EXPECT_NE(find_suite(name), nullptr) << name;
@@ -206,6 +207,60 @@ TEST(SuiteExpansion, Table2_3IsTheClassicMqCSweep) {
   }
 }
 
+/// The NUMA tables' K axis, in the paper's order.
+const std::vector<std::string> kNumaKs{"1",  "2",  "4",   "8",  "16",
+                                       "32", "64", "128", "256"};
+
+TEST(SuiteExpansion, Table16_23IsTheMqComboNumaGrid) {
+  const SuiteDef* suite = find_suite("table16_23");
+  ASSERT_NE(suite, nullptr);
+  EXPECT_EQ(suite->algo, "sssp");
+  EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
+  ASSERT_EQ(suite->runs.size(), 37u);
+  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  EXPECT_FALSE(suite->runs[0].params.has("numa"));
+  std::vector<Tuple> expected;
+  for (const char* scheduler : {"mq-tl-p16", "mq-opt", "mq-opt", "mq-opt"}) {
+    for (const std::string& k : kNumaKs) {
+      expected.emplace_back(scheduler, "nodes=2,k=" + k);
+    }
+  }
+  EXPECT_EQ(grid_of(*suite, "numa"), expected);
+  // The three mq-opt blocks are TL/B, B/TL and B/B at p = 1/16 and
+  // buffers of 16.
+  const std::vector<std::pair<std::string, std::string>> policies{
+      {"local", "batch"}, {"batch", "local"}, {"batch", "batch"}};
+  for (std::size_t block = 0; block < policies.size(); ++block) {
+    for (std::size_t i = 0; i < kNumaKs.size(); ++i) {
+      const SuiteRun& run = suite->runs[1 + (block + 1) * kNumaKs.size() + i];
+      EXPECT_EQ(run.params.get("insert-policy"), policies[block].first);
+      EXPECT_EQ(run.params.get("delete-policy"), policies[block].second);
+      EXPECT_EQ(run.params.get("p-insert"), "1/16");
+      EXPECT_EQ(run.params.get("delete-batch"), "16");
+    }
+  }
+}
+
+TEST(SuiteExpansion, Table24_27IsTheSmqNumaGrid) {
+  const SuiteDef* suite = find_suite("table24_27");
+  ASSERT_NE(suite, nullptr);
+  EXPECT_EQ(suite->algo, "sssp");
+  EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
+  ASSERT_EQ(suite->runs.size(), 19u);
+  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  std::vector<Tuple> expected;
+  for (const char* scheduler : {"smq", "smq-skiplist"}) {
+    for (const std::string& k : kNumaKs) {
+      expected.emplace_back(scheduler, "nodes=2,k=" + k);
+    }
+  }
+  EXPECT_EQ(grid_of(*suite, "numa"), expected);
+  for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite->runs[i].params.entries().size(), 1u)
+        << "SMQ rows pin only the numa point";
+  }
+}
+
 // ---- sweep-spec CLI parsing -----------------------------------------------
 
 TEST(SweepSpecParsing, ThreadListsParseAndRejectGarbage) {
@@ -247,8 +302,34 @@ TEST(SuiteRunner, Table2_3RunsEndToEndAndEmitsLabelledJson) {
               std::string::npos)
         << suite_run_label(run);
   }
-  EXPECT_EQ(text.find("| NO |"), std::string::npos)
+  EXPECT_EQ(text.find("\"valid\": false"), std::string::npos)
       << "a row failed oracle validation:\n" << text;
+}
+
+/// A NUMA-table row pins its topology through the per-run `numa` param:
+/// at 2 threads the two virtual nodes are built, so the scheduler samples
+/// steal victims through the weighted sampler and the row's JSON carries
+/// the sampled and remote access counts.
+TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
+  const SuiteDef* table = find_suite("table24_27");
+  ASSERT_NE(table, nullptr);
+  SuiteDef suite = *table;
+  suite.runs = {suite.runs[4]};  // smq at nodes=2,k=8
+  ASSERT_EQ(suite.runs[0].params.get("numa"), "nodes=2,k=8");
+  SuiteOptions opts;
+  opts.threads = {2};
+  opts.cli_params.set("vertices", "2000");
+  opts.json_path = "-";
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(run_suite(suite, opts, out, err), 0) << err.str();
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"valid\": true"), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"valid\": false"), std::string::npos) << text;
+  const std::size_t key = text.find("\"sampled_accesses\": ");
+  ASSERT_NE(key, std::string::npos) << "no sampled accesses:\n" << text;
+  EXPECT_GT(std::stoull(text.substr(key + 20)), 0u) << text;
+  EXPECT_NE(text.find("\"remote_frac\": "), std::string::npos);
 }
 
 /// CLI tunables flow into suite rows, but a run's own grid params win —

@@ -103,11 +103,6 @@ def main():
                          "(threads > 1), which carry scheduling noise a "
                          "single-thread run does not; defaults to twice "
                          "--max-regression")
-    ap.add_argument("--skip-missing", action="store_true",
-                    help="baseline rows absent from the current run are "
-                         "reported as SKIP instead of failing; for gates "
-                         "whose inputs are optional (e.g. large DIMACS "
-                         "graphs only present after a fetch)")
     ap.add_argument("--write-baseline", action="store_true",
                     help="merge current reports over baseline instead of "
                          "gating")
@@ -144,7 +139,6 @@ def main():
                  else 2 * args.max_regression)
 
     failures = []
-    skipped = 0
     compared = 0
     width = max(len("/".join(map(str, k))) for k in baseline)
     print(f"{'configuration':<{width}}  {'metric':>15}  {'baseline':>10} "
@@ -153,11 +147,7 @@ def main():
         cur_row = current.get(key)
         name = "/".join(map(str, key))
         if cur_row is None:
-            if args.skip_missing:
-                print(f"{name:<{width}}  SKIP (not in current run)")
-                skipped += 1
-            else:
-                failures.append(f"{name}: missing from current run")
+            failures.append(f"{name}: missing from current run")
             continue
         if cur_row.get("valid") is False:
             failures.append(f"{name}: produced an INVALID result")
@@ -181,9 +171,8 @@ def main():
                 f"({base_value:.3f} -> {cur_value:.3f}), "
                 f"budget {100 * budget:.0f}%")
 
-    skip_note = f", skipped {skipped}" if skipped else ""
     print(f"\ncompared {compared}/{len(baseline)} baseline configurations"
-          f"{skip_note} (regression budget {100 * args.max_regression:.0f}% "
+          f" (regression budget {100 * args.max_regression:.0f}% "
           f"single-thread, {100 * mt_budget:.0f}% multi-thread)")
     if failures:
         print("\nperf_check: FAIL")
