@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   std::cout << "\nAll schedulers converge to the same fixpoint (error column "
                "~ n * tolerance).\nTask counts show the accumulation effect: "
                "delaying schedulers harvest bigger residuals per task, eager "
-               "priority order processes more, smaller harvests — see "
-               "EXPERIMENTS.md.\n";
+               "priority order processes more, smaller harvests.\n";
   return 0;
 }

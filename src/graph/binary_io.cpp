@@ -244,7 +244,6 @@ Graph map_v2(std::shared_ptr<MappedFile> file, const std::string& path) {
     coords.y.assign(x + header.num_vertices, x + 2 * header.num_vertices);
     graph.set_coordinates(std::move(coords));
   }
-  graph.set_description("binary cache (mmap)");
   return graph;
 }
 #endif  // SMQ_HAVE_MMAP
@@ -323,7 +322,6 @@ Graph read_binary_graph(std::istream& in) {
     throw std::runtime_error("binary graph: unsupported version " +
                              std::to_string(version));
   }
-  graph.set_description("binary cache");
   return graph;
 }
 

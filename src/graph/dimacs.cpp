@@ -87,9 +87,7 @@ Graph read_dimacs_gr(std::istream& in) {
         std::to_string(num_edges) + " arcs, file contains " +
         std::to_string(edges.size()) + " (truncated input?)");
   }
-  Graph g = Graph::from_edges(num_vertices, std::move(edges));
-  g.set_description("DIMACS .gr input");
-  return g;
+  return Graph::from_edges(num_vertices, std::move(edges));
 }
 
 Graph load_dimacs_gr(const std::string& path) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "support/rng.h"
 
@@ -81,8 +80,6 @@ Graph make_road_like(VertexId num_vertices, RoadLikeOptions opts) {
 
   Graph g = Graph::from_edges(n, std::move(edges));
   g.set_coordinates(std::move(coords));
-  g.set_description("road-like lattice (" + std::to_string(side) + "x" +
-                    std::to_string(side) + "), USA/WEST stand-in");
   return g;
 }
 
@@ -114,10 +111,7 @@ Graph make_rmat(unsigned scale, RmatOptions opts) {
         static_cast<Weight>(rng.next_below(std::uint64_t{opts.max_weight} + 1));
     edges.push_back(Edge{row, col, w});
   }
-  Graph g = Graph::from_edges(n, std::move(edges));
-  g.set_description("RMAT scale " + std::to_string(scale) +
-                    " power-law, TWITTER/WEB stand-in");
-  return g;
+  return Graph::from_edges(n, std::move(edges));
 }
 
 Graph make_erdos_renyi(VertexId num_vertices, std::size_t num_edges,
@@ -131,9 +125,7 @@ Graph make_erdos_renyi(VertexId num_vertices, std::size_t num_edges,
              static_cast<VertexId>(rng.next_below(num_vertices)),
              static_cast<Weight>(1 + rng.next_below(255))});
   }
-  Graph g = Graph::from_edges(num_vertices, std::move(edges));
-  g.set_description("Erdos-Renyi G(n,m)");
-  return g;
+  return Graph::from_edges(num_vertices, std::move(edges));
 }
 
 Graph make_grid2d(VertexId width, VertexId height, bool unit_weights,
@@ -150,10 +142,7 @@ Graph make_grid2d(VertexId width, VertexId height, bool unit_weights,
       if (r + 1 < height) add_undirected(edges, v, v + width, weight());
     }
   }
-  Graph g = Graph::from_edges(width * height, std::move(edges));
-  g.set_description("grid " + std::to_string(width) + "x" +
-                    std::to_string(height));
-  return g;
+  return Graph::from_edges(width * height, std::move(edges));
 }
 
 Graph make_path(VertexId num_vertices, Weight weight) {
@@ -161,9 +150,7 @@ Graph make_path(VertexId num_vertices, Weight weight) {
   for (VertexId v = 0; v + 1 < num_vertices; ++v) {
     add_undirected(edges, v, v + 1, weight);
   }
-  Graph g = Graph::from_edges(num_vertices, std::move(edges));
-  g.set_description("path");
-  return g;
+  return Graph::from_edges(num_vertices, std::move(edges));
 }
 
 }  // namespace smq

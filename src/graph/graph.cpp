@@ -97,7 +97,6 @@ void Graph::assign(const Graph& other) {
     backing_ = nullptr;
   }
   coords_ = other.coords_;
-  description_ = other.description_;
 }
 
 void Graph::assign_move(Graph&& other) noexcept {
@@ -116,7 +115,6 @@ void Graph::assign_move(Graph&& other) noexcept {
   other.offsets_ = {};
   other.adjacency_ = {};
   coords_ = std::move(other.coords_);
-  description_ = std::move(other.description_);
 }
 
 std::vector<Edge> Graph::to_edges() const {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -110,10 +109,6 @@ class Graph {
   const Coordinates& coordinates() const noexcept { return coords_; }
   void set_coordinates(Coordinates coords) { coords_ = std::move(coords); }
 
-  /// Human-readable description of how the graph was built.
-  const std::string& description() const noexcept { return description_; }
-  void set_description(std::string text) { description_ = std::move(text); }
-
  private:
   void assign(const Graph& other);
   void assign_move(Graph&& other) noexcept;
@@ -127,7 +122,6 @@ class Graph {
   std::span<const Neighbor> adjacency_;
   std::shared_ptr<const void> backing_;
   Coordinates coords_;
-  std::string description_;
 };
 
 }  // namespace smq

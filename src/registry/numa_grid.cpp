@@ -1,9 +1,11 @@
 #include "registry/numa_grid.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "registry/scheduler_configs.h"
 #include "sched/topology.h"
 #include "support/cli.h"
 
@@ -20,18 +22,7 @@ std::string fmt_k(double k) {
 
 }  // namespace
 
-std::string NumaGridPoint::spec() const {
-  std::string s = "nodes=" + std::to_string(nodes);
-  if (k_set) s += ",k=" + fmt_k(k);
-  return s;
-}
-
-std::string NumaGridPoint::label() const {
-  if (!active()) return "-";
-  return std::to_string(nodes) + "/" + (k_set ? fmt_k(k) : "d");
-}
-
-std::vector<NumaGridPoint> parse_numa_grid(std::string_view spec) {
+std::vector<std::string> parse_numa_grid(std::string_view spec) {
   std::vector<unsigned> nodes;
   std::vector<double> ks;
   for (const std::string& dim : split_list(spec, ':')) {
@@ -80,35 +71,27 @@ std::vector<NumaGridPoint> parse_numa_grid(std::string_view spec) {
   if (nodes.empty()) nodes.push_back(2);
   if (ks.empty()) ks.push_back(1.0);
 
-  std::vector<NumaGridPoint> grid;
+  std::vector<std::string> grid;
   bool have_uma = false;
   for (const unsigned n : nodes) {
     // K has no effect without a topology, so a nodes<=1 entry collapses
     // to one UMA point instead of |ks| identical re-measurements.
     if (n <= 1) {
-      if (!have_uma) grid.push_back({.nodes = 1, .k = 1.0, .k_set = true});
+      if (!have_uma) grid.emplace_back("nodes=1,k=1");
       have_uma = true;
       continue;
     }
     for (const double k : ks) {
-      grid.push_back({.nodes = n, .k = k, .k_set = true});
+      grid.push_back("nodes=" + std::to_string(n) + ",k=" + fmt_k(k));
     }
   }
   return grid;
 }
 
-void apply_numa_point(ParamMap& params, const NumaGridPoint& point) {
-  params.set("numa", point.spec());
-  // A stray --numa-k would override every grid point's K.
-  params.erase("numa-k");
-}
-
-double expected_internal_fraction(const NumaGridPoint& point,
-                                  unsigned threads) {
-  if (!point.active() || threads == 0) return 1.0;
-  const Topology topo(threads, point.nodes);
-  return topo.expected_internal_fraction(point.k_set && point.k > 1.0 ? point.k
-                                                                      : 1.0);
+double expected_internal_fraction(const NumaOptions& numa, unsigned threads) {
+  if (numa.nodes <= 1 || threads == 0) return 1.0;
+  return Topology(threads, numa.nodes)
+      .expected_internal_fraction(std::max(numa.k, 1.0));
 }
 
 }  // namespace smq

@@ -10,8 +10,7 @@ namespace smq {
 
 NumaOptions parse_numa(const ParamMap& params, unsigned threads,
                        double default_k) {
-  NumaOptions numa;
-  bool k_given = false;  // explicit K (even K=1) must never be overridden
+  NumaOptions numa;  // an explicit K (even K=1) is never overridden
   const std::string spec = params.get("numa");
   for (const std::string& part : split_list(spec, ',')) {
     if (const auto eq = part.find('='); eq != std::string::npos) {
@@ -20,7 +19,7 @@ NumaOptions parse_numa(const ParamMap& params, unsigned threads,
       if (key == "nodes") numa.nodes = static_cast<unsigned>(value);
       if (key == "k") {
         numa.k = value;
-        k_given = true;
+        numa.k_pinned = true;
       }
     } else {
       numa.nodes = static_cast<unsigned>(std::strtoul(part.c_str(), nullptr, 10));
@@ -28,12 +27,12 @@ NumaOptions parse_numa(const ParamMap& params, unsigned threads,
   }
   if (params.has("numa-k")) {
     numa.k = params.get_double("numa-k", numa.k);
-    k_given = true;
+    numa.k_pinned = true;
   }
   if (numa.k <= 0) numa.k = 1.0;
   // "--numa k=8" alone asks for weighted sampling without a node count.
   if (numa.nodes == 0 && numa.k > 1.0) numa.nodes = 2;
-  if (!k_given && numa.nodes > 1) numa.k = default_k;
+  if (!numa.k_pinned && numa.nodes > 1) numa.k = default_k;
   numa.nodes = std::min(numa.nodes, threads);
   return numa;
 }

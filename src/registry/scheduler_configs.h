@@ -28,6 +28,7 @@ namespace smq {
 struct NumaOptions {
   unsigned nodes = 0;
   double k = 1.0;
+  bool k_pinned = false;  // K was spelled out (even K=1), not defaulted
 };
 
 NumaOptions parse_numa(const ParamMap& params, unsigned threads,

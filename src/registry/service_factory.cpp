@@ -8,7 +8,6 @@
 #include "registry/any_scheduler.h"
 #include "registry/scheduler_registry.h"
 #include "service/scheduler_service.h"
-#include "tuning/auto_select.h"
 
 namespace smq {
 
@@ -20,9 +19,6 @@ std::string_view service_auto_algorithm(const GraphInstance& graph) {
 
 unsigned service_effective_threads(std::string_view sched_name,
                                    unsigned requested) {
-  if (sched_name == tuning::kAutoSchedulerName) {
-    return requested == 0 ? 1 : requested;
-  }
   const SchedulerEntry* entry =
       SchedulerRegistry::instance().find(sched_name);
   if (entry == nullptr) {
@@ -52,16 +48,10 @@ std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
                                            ServiceOptions opts) {
-  std::string resolved(sched_name);
-  if (sched_name == tuning::kAutoSchedulerName) {
-    resolved =
-        tuning::select_scheduler(graph, service_auto_algorithm(graph), threads)
-            .preset;
-  }
-  const unsigned workers = service_effective_threads(resolved, threads);
+  const unsigned workers = service_effective_threads(sched_name, threads);
   opts.weight_scale = graph.weight_scale;
   AnyScheduler sched = SchedulerRegistry::instance().create(
-      resolved, workers, service_params(resolved, params));
+      sched_name, workers, service_params(sched_name, params));
   return std::make_unique<SchedulerService<AnyScheduler>>(
       graph.graph, workers, opts, std::move(sched));
 }

@@ -15,9 +15,9 @@
 
 namespace smq {
 
-/// The algorithm `--sched auto` tunes a service for: the service runs
-/// point-to-point queries, which are A* when the graph carries
-/// coordinates and plain SSSP otherwise.
+/// The algorithm `--sched auto` tunes a service for (the `algorithm` of
+/// tuning::resolve_auto): the service runs point-to-point queries, which
+/// are A* when the graph carries coordinates and plain SSSP otherwise.
 std::string_view service_auto_algorithm(const GraphInstance& graph);
 
 /// The scheduler params a service runs `sched_name` with: `params`, plus
@@ -33,18 +33,16 @@ ParamMap service_params(std::string_view sched_name, const ParamMap& params);
 /// The worker count is clamped to the scheduler's thread capacity
 /// (effective_threads), the heuristic scale comes from the graph
 /// instance, and the scheduler is built from service_params() — presets
-/// otherwise resolve exactly as in a sweep. "auto" resolves through the
-/// compiled-in auto rows first, keyed on service_auto_algorithm.
-/// Throws std::invalid_argument on an unknown scheduler.
+/// otherwise resolve exactly as in a sweep. `auto` is resolved by the
+/// caller (tuning::resolve_auto), which reports the pick. Throws
+/// std::invalid_argument on an unknown scheduler.
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
                                            ServiceOptions opts = {});
 
-/// The worker count make_service will actually run with. For "auto"
-/// this is the requested count (every preset an auto row can name is
-/// thread-capable; the resolved entry still clamps inside make_service).
+/// The worker count make_service will actually run with.
 unsigned service_effective_threads(std::string_view sched_name,
                                    unsigned requested);
 

@@ -1,15 +1,70 @@
 #include "registry/suite_runner.h"
 
+#include <algorithm>
 #include <fstream>
-#include <iostream>
 #include <ostream>
+#include <sstream>
+#include <stdexcept>
+#include <thread>
 
+#include "registry/algorithm_registry.h"
+#include "registry/graph_registry.h"
+#include "registry/numa_grid.h"
+#include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
 #include "registry/static_dispatch.h"
 #include "support/cli.h"
 #include "support/json_writer.h"
+#include "tuning/auto_select.h"
 
 namespace smq {
+
+namespace {
+
+/// One result row of a sweep.
+struct SweepRow {
+  std::string label;      // display / JSON "scheduler"
+  std::string scheduler;  // registry key (JSON "preset" when != label)
+  ParamMap row_params;    // the run's own params (JSON "params")
+  unsigned requested_threads = 0;
+  unsigned threads = 0;   // effective (clamped) count
+  std::string_view dispatch = "virtual";  // dispatch_label() of the run
+  AlgoResult result;
+  int reps = 1;
+  // Set when the run asked for `auto`: `scheduler` is its pick, and the
+  // match kind and the resolver's explanation reach the table and JSON.
+  std::optional<tuning::AutoSelection> auto_pick;
+};
+
+/// Everything the table and JSON emitters need about one sweep.
+struct SweepReport {
+  const SuiteDef* suite = nullptr;
+  std::string algorithm;
+  GraphInstance graph;
+  ParamMap params;             // global params (graph + CLI tunables)
+  std::string_view dispatch = "virtual";  // dispatch_label() requested
+  const AlgoReference* reference = nullptr;  // null without validation
+  std::vector<SweepRow> rows;
+};
+
+/// The NUMA point a row's run pins, read by the factories' own parser;
+/// nullopt when the run leaves `numa` to the CLI.
+std::optional<NumaOptions> pinned_numa(const SweepRow& row) {
+  if (!row.row_params.has("numa")) return std::nullopt;
+  return parse_numa(row.row_params, row.threads, /*default_k=*/1.0);
+}
+
+/// The table's numa cell: "nodes/K" for a pinned point (nodes alone
+/// when K is the scheduler's default, "-" = UMA), else the CLI `numa`.
+std::string numa_cell(const SweepRow& row, const ParamMap& params) {
+  const std::optional<NumaOptions> numa = pinned_numa(row);
+  if (!numa) return params.get("numa", "-");
+  if (numa->nodes <= 1) return "-";
+  std::ostringstream cell;
+  cell << numa->nodes;
+  if (numa->k_pinned) cell << '/' << numa->k;
+  return cell.str();
+}
 
 void print_sweep_table(std::ostream& os, const SweepReport& report) {
   const AlgoReference* ref = report.reference;
@@ -28,13 +83,10 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
     // Auto rows show the preset they resolved to, not just "auto" —
     // the chosen config must be readable off the table.
     const std::string label =
-        row.auto_selected ? row.label + ":" + row.scheduler : row.label;
+        row.auto_pick ? row.label + ":" + row.scheduler : row.label;
     table.add_row(
-        {label, std::to_string(row.threads),
-         std::string(row.dispatch),
-         row.numa_grid ? row.numa.label()
-                       : row.row_params.get("numa",
-                                            report.params.get("numa", "-")),
+        {label, std::to_string(row.threads), std::string(row.dispatch),
+         numa_cell(row, report.params),
          TablePrinter::fmt(row.result.run.seconds * 1e3),
          std::to_string(stats.pops), std::to_string(stats.wasted),
          ref != nullptr ? TablePrinter::fmt(work_inc) : "-",
@@ -51,11 +103,11 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   JsonWriter json(os);
   json.begin_object();
   json.member("tool", "smq_run");
-  if (!report.suite.empty()) json.member("suite", report.suite);
+  if (!report.suite->name.empty()) json.member("suite", report.suite->name);
   json.member("algorithm", report.algorithm);
   json.member("dispatch", std::string(report.dispatch));
-  if (!report.numa_grid_spec.empty()) {
-    json.member("numa_grid", report.numa_grid_spec);
+  if (!report.suite->numa_grid.empty()) {
+    json.member("numa_grid", report.suite->numa_grid);
   }
 
   json.key("graph").begin_object();
@@ -86,10 +138,11 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
     json.begin_object();
     json.member("scheduler", row.label);
     if (row.label != row.scheduler) json.member("preset", row.scheduler);
-    if (row.auto_selected) {
+    if (row.auto_pick) {
       json.member("auto", true);
-      json.member("auto_match", row.auto_match);
-      json.member("auto_why", row.auto_why);
+      json.member("auto_match",
+                  std::string(tuning::to_string(row.auto_pick->match)));
+      json.member("auto_why", row.auto_pick->why);
     }
     if (!row.row_params.entries().empty()) {
       json.key("params").begin_object();
@@ -103,11 +156,14 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
       json.member("requested_threads", row.requested_threads);
     }
     json.member("dispatch", std::string(row.dispatch));
-    if (row.numa_grid) {
-      json.member("numa_nodes", row.numa.nodes);
-      if (row.numa.k_set) json.member("numa_k", row.numa.k);
-      json.member("internal_frac_expected",
-                  expected_internal_fraction(row.numa, row.threads));
+    // A spec that leaves K to the scheduler names no point on the K axis.
+    if (const std::optional<NumaOptions> numa = pinned_numa(row)) {
+      json.member("numa_nodes", numa->nodes);
+      if (numa->k_pinned) {
+        json.member("numa_k", numa->k);
+        json.member("internal_frac_expected",
+                    expected_internal_fraction(*numa, row.threads));
+      }
     }
     json.member("seconds", row.result.run.seconds);
     json.member("tasks", stats.pops);
@@ -139,6 +195,9 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   os << '\n';
 }
 
+/// Route the report per `json_path`: "" = no JSON, "-" = onto `out`
+/// after the table, else a file (noting the write on `out`). Returns
+/// false when the file cannot be opened.
 bool emit_sweep_json(const SweepReport& report, const std::string& json_path,
                      std::ostream& out, std::ostream& err) {
   if (json_path.empty()) return true;
@@ -156,6 +215,9 @@ bool emit_sweep_json(const SweepReport& report, const std::string& json_path,
   return true;
 }
 
+/// The sequential oracle with its wall time taken best-of-`reps`: it is
+/// the speedup normalizer the CI perf gate compares, so it must not be
+/// a single noisy sample.
 AlgoReference measure_reference(const AlgorithmEntry& algo,
                                 const GraphInstance& graph,
                                 const ParamMap& params, int reps) {
@@ -167,13 +229,16 @@ AlgoReference measure_reference(const AlgorithmEntry& algo,
   return reference;
 }
 
-AlgoResult measure_sweep_row(const SchedulerEntry& entry,
-                             std::string_view scheduler,
-                             const AlgorithmEntry& algo,
-                             std::string_view algo_name,
-                             const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, bool static_dispatch,
-                             const AlgoReference* ref, int reps) {
+/// Best-of-`reps` measurement of one row under `entry` (registered as
+/// `scheduler`): the static-dispatch path when `static_dispatch` is set
+/// and the key resolves to a static row, the erased factory otherwise.
+/// Prefers valid results, then the fastest wall time. `threads` must
+/// already be clamped via effective_threads().
+AlgoResult measure_row(const SchedulerEntry& entry, std::string_view scheduler,
+                       const AlgorithmEntry& algo, std::string_view algo_name,
+                       const GraphInstance& graph, unsigned threads,
+                       const ParamMap& run_params, bool static_dispatch,
+                       const AlgoReference* ref, int reps) {
   AlgoResult best;
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
     AlgoResult result;
@@ -196,6 +261,22 @@ AlgoResult measure_sweep_row(const SchedulerEntry& entry,
   return best;
 }
 
+/// Whether `scheduler`'s rows run static: `want_static` and the key has
+/// a static entry. Notes the erased fallback on `err` otherwise.
+bool row_dispatch_static(bool want_static, std::string_view scheduler,
+                         std::ostream& err) {
+  if (!want_static || has_static_dispatch(scheduler)) return want_static;
+  err << "note: no static dispatch entry for '" << scheduler
+      << "'; running it erased\n";
+  return false;
+}
+
+bool is_auto(std::string_view scheduler) {
+  return scheduler == tuning::kAutoSchedulerName;
+}
+
+}  // namespace
+
 std::optional<bool> parse_static_dispatch(const ArgParser& args,
                                           std::ostream& err) {
   if (!args.has_flag("dispatch")) return false;
@@ -206,17 +287,70 @@ std::optional<bool> parse_static_dispatch(const ArgParser& args,
   return std::nullopt;
 }
 
-bool row_dispatch_static(bool want_static, std::string_view scheduler,
-                         std::ostream& err) {
-  if (!want_static || has_static_dispatch(scheduler)) return want_static;
-  err << "note: no static dispatch entry for '" << scheduler
-      << "'; running it erased\n";
-  return false;
-}
-
 std::string_view dispatch_label(bool static_dispatch, const ParamMap& params) {
   if (static_dispatch) return "static";
   return params.get_int("batch-size", 1) > 1 ? "batched" : "virtual";
+}
+
+ParamMap merge_run_params(const ParamMap& params, const ParamMap& run_params) {
+  ParamMap merged = params;
+  if (run_params.has("numa")) merged.erase("numa-k");
+  for (const auto& [key, value] : run_params.entries()) {
+    merged.set(key, value);
+  }
+  return merged;
+}
+
+std::vector<std::string> parse_sched_list(std::string_view list) {
+  std::vector<std::string> names = split_list(list, ',');
+  if (names.size() == 1 && names[0] == "all") {
+    return SchedulerRegistry::instance().names();
+  }
+  std::vector<std::string> known = SchedulerRegistry::instance().names();
+  known.emplace_back(tuning::kAutoSchedulerName);
+  for (const std::string& name : names) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string msg = "unknown scheduler: " + name;
+    const std::string near = nearest_name(name, known);
+    if (!near.empty()) msg += " (did you mean '" + near + "'?)";
+    throw std::invalid_argument(msg + " (see smq_run --list)");
+  }
+  return names;
+}
+
+SuiteDef sweep_suite(std::string_view sched_list, std::string_view numa_grid,
+                     std::ostream& err) {
+  SuiteDef suite;
+  suite.threads = {4};
+  suite.numa_grid = std::string(numa_grid);
+  const std::vector<std::string> points =
+      numa_grid.empty() ? std::vector<std::string>{}
+                        : parse_numa_grid(numa_grid);
+  for (const std::string& name : parse_sched_list(sched_list)) {
+    if (!points.empty() && is_auto(name)) {
+      throw std::invalid_argument(
+          "--sched auto cannot be combined with --numa-grid (the grid "
+          "sweeps the axis the auto rows have already pinned)");
+    }
+    const bool takes_numa =
+        !is_auto(name) &&
+        std::ranges::any_of(SchedulerRegistry::instance().find(name)->tunables,
+                            [](const Tunable& t) { return t.name == "numa"; });
+    if (points.empty() || !takes_numa) {
+      // Rows claiming a topology that never applied would poison the
+      // trajectory, so a scheduler without the tunable runs once.
+      if (!points.empty()) {
+        err << "note: '" << name << "' takes no numa tunable; running it "
+            << "once without the grid\n";
+      }
+      suite.runs.push_back({name, {}, name});
+      continue;
+    }
+    for (const std::string& point : points) {
+      suite.runs.push_back({name, params_of({{"numa", point}}), name});
+    }
+  }
+  return suite;
 }
 
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
@@ -247,23 +381,29 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
     err << e.what() << " (see smq_run --list)\n";
     return 2;
   }
+  report.suite = &suite;
   report.algorithm = algo_name;
   report.params = params;
   report.dispatch = dispatch_label(opts.static_dispatch, params);
-  report.suite = suite.name;
 
   const std::vector<unsigned>& thread_counts =
       opts.threads.empty() ? suite.threads : opts.threads;
   const int reps = std::max(1, opts.reps);
+  const std::string warn = oversubscription_warning(
+      thread_counts, std::thread::hardware_concurrency());
+  if (!warn.empty()) err << warn << "\n";
 
-  out << "suite: " << suite.name << " (" << suite.figure << ": "
-      << suite.description << ")\n"
-      << "graph: " << report.graph.name << " ("
+  if (!suite.name.empty()) {
+    out << "suite: " << suite.name << " (" << suite.figure << ": "
+        << suite.description << ")\n";
+  }
+  out << "graph: " << report.graph.name << " ("
       << report.graph.graph->num_vertices() << " vertices, "
       << report.graph.graph->num_edges() << " edges)\n"
       << "algorithm: " << algo_name << "\n"
       << "dispatch: " << report.dispatch << " (batch-size "
       << params.get("batch-size", "1") << ")\n";
+  if (!suite.numa_grid.empty()) out << "numa grid: " << suite.numa_grid << "\n";
 
   AlgoReference reference;
   if (opts.validate) {
@@ -276,33 +416,46 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
 
   bool any_invalid = false;
   for (const SuiteRun& run : suite.runs) {
-    const SchedulerEntry* entry =
-        SchedulerRegistry::instance().find(run.scheduler);
-    if (entry == nullptr) {
+    if (!is_auto(run.scheduler) &&
+        SchedulerRegistry::instance().find(run.scheduler) == nullptr) {
       err << "suite " << suite.name << " names unknown scheduler: "
           << run.scheduler << "\n";
       return 2;
     }
-    const bool row_static =
+    // Static dispatch covers the hot config families (and their presets)
+    // only; anything else keeps its uniform erased path (and says so).
+    // `auto` decides per row, once its pick is known.
+    const bool run_static =
+        !is_auto(run.scheduler) &&
         row_dispatch_static(opts.static_dispatch, run.scheduler, err);
-    // The run's grid point wins over conflicting CLI tunables — it IS
-    // the suite's sweep axis.
-    ParamMap run_params = params;
-    for (const auto& [key, value] : run.params.entries()) {
-      run_params.set(key, value);
-    }
+    const ParamMap run_params = merge_run_params(params, run.params);
     for (const unsigned requested : thread_counts) {
       SweepRow row;
       row.label = suite_run_label(run);
-      row.scheduler = run.scheduler;
+      // The pick may change with the thread count; the row runs it on
+      // the requested path, the same as naming it by hand.
+      row.auto_pick = tuning::resolve_auto(run.scheduler, report.graph,
+                                           algo_name, requested);
+      row.scheduler = row.auto_pick ? row.auto_pick->preset : run.scheduler;
+      const bool row_static =
+          row.auto_pick
+              ? row_dispatch_static(opts.static_dispatch, row.scheduler, err)
+              : run_static;
+      if (row.auto_pick) {
+        out << tuning::describe_selection(*row.auto_pick, algo_name,
+                                          requested)
+            << "\n";
+      }
+      const SchedulerEntry& entry =
+          *SchedulerRegistry::instance().find(row.scheduler);
       row.row_params = run.params;
       row.requested_threads = requested;
-      row.threads = effective_threads(*entry, requested);
+      row.threads = effective_threads(entry, requested);
       row.dispatch = dispatch_label(row_static, run_params);
       row.reps = reps;
-      row.result = measure_sweep_row(*entry, run.scheduler, *algo, algo_name,
-                                     report.graph, row.threads, run_params,
-                                     row_static, report.reference, reps);
+      row.result = measure_row(entry, row.scheduler, *algo, algo_name,
+                               report.graph, row.threads, run_params,
+                               row_static, report.reference, reps);
       if (row.result.validated && !row.result.valid) any_invalid = true;
       report.rows.push_back(std::move(row));
     }
@@ -342,39 +495,6 @@ std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
   opts.graph_cache = args.get("graph-cache");
   opts.json_path = args.get("json");
   return opts;
-}
-
-int run_suite_main(std::string_view suite_name, int argc, char** argv) {
-  const ArgParser args(argc, argv);
-  const SuiteDef* suite = find_suite(suite_name);
-  if (suite == nullptr) {
-    std::cerr << unknown_suite_message(suite_name) << "\n";
-    return 2;
-  }
-
-  if (args.has_flag("help") || args.has_flag("h")) {
-    std::cout << "usage: reproduce " << suite->figure << " ("
-              << suite->description << ")\n"
-                 "  [--threads N[,N...]] [--reps N] [--json PATH|-]\n"
-                 "  [--batch-size N] [--dispatch static]\n"
-                 "  [--graph NAME] [--algo NAME] [--graph-cache DIR]\n"
-                 "  [--no-validate] [--<tunable> VALUE ...]\n\n"
-                 "Expands the suite's preset sweep through the registry "
-                 "runners; every row\nis validated against the sequential "
-                 "oracle. See also: smq_run --suite "
-              << suite->name << "\n";
-    return 0;
-  }
-
-  const std::optional<SuiteOptions> opts = parse_suite_options(args, std::cerr);
-  if (!opts) return 2;
-
-  try {
-    return run_suite(*suite, *opts, std::cout, std::cerr);
-  } catch (const std::exception& e) {
-    std::cerr << "suite " << suite->name << ": " << e.what() << "\n";
-    return 2;
-  }
 }
 
 }  // namespace smq

@@ -1,13 +1,15 @@
-// Shared sweep execution and emission for the run driver and the figure
-// suites.
+// The one sweep runner behind every smq_run sweep and figure suite.
 //
-// One (scheduler, params, threads) result row and one table/JSON
-// emission path, used by both the ad-hoc `smq_run --sched ...` sweep and
-// the suite expansion (`smq_run --suite fig3_6`,
-// bench_fig2_main_comparison) — "the suite emits the same rows as an
-// ad-hoc sweep" is structural, not a convention. run_suite() expands a
-// SuiteDef against the registries; run_suite_main() is `smq_run
-// --suite`'s complete CLI entry point.
+// A SuiteDef (suites.h) names (scheduler, per-run params) tuples;
+// run_suite() measures each at every thread count, validates it against
+// the sequential oracle and prints one table (plus optional JSON). The
+// figure suites (`smq_run --suite fig3_6`, bench_fig2_main_comparison)
+// and the ad-hoc `smq_run --sched a,b[,auto] [--numa-grid SPEC]` sweep,
+// which sweep_suite() expands into an unnamed SuiteDef, go through this
+// one loop, so "a suite emits the same rows as an ad-hoc sweep" holds by
+// construction. `auto` resolves per thread count through
+// tuning::resolve_auto; a row's NUMA columns come from parse_numa over
+// the `numa` its run pins.
 #pragma once
 
 #include <iosfwd>
@@ -16,80 +18,12 @@
 #include <string_view>
 #include <vector>
 
-#include "registry/algorithm_registry.h"
-#include "registry/graph_registry.h"
-#include "registry/numa_grid.h"
 #include "registry/params.h"
-#include "registry/scheduler_registry.h"
 #include "registry/suites.h"
 
 namespace smq {
 
 class ArgParser;
-
-/// One result row of a sweep (ad-hoc or suite).
-struct SweepRow {
-  std::string label;      // display / JSON "scheduler" (unique per row)
-  std::string scheduler;  // registry key (JSON "preset" when != label)
-  ParamMap row_params;    // per-run overrides (suite grids; empty ad-hoc)
-  unsigned requested_threads = 0;
-  unsigned threads = 0;   // effective (clamped) count
-  std::string_view dispatch = "virtual";  // dispatch_label() of the run
-  NumaGridPoint numa;     // this row's grid point (inactive w/o a grid)
-  bool numa_grid = false; // row came from a --numa-grid sweep
-  AlgoResult result;
-  int reps = 1;
-  // `--sched auto` provenance: the row ran `scheduler` because the
-  // auto rows picked it (label stays "auto"); match kind and the
-  // resolver's explanation are surfaced in the table and JSON.
-  bool auto_selected = false;
-  std::string auto_match;  // "exact" | "default"
-  std::string auto_why;
-};
-
-/// Everything the table and JSON emitters need about one sweep.
-struct SweepReport {
-  std::string algorithm;
-  GraphInstance graph;
-  ParamMap params;             // global params (graph + CLI tunables)
-  std::string_view dispatch = "virtual";  // dispatch_label() requested
-  std::string numa_grid_spec;  // empty without a grid
-  std::string suite;           // suite name; empty for ad-hoc sweeps
-  const AlgoReference* reference = nullptr;  // null without validation
-  std::vector<SweepRow> rows;
-};
-
-/// The paper-style fixed-width table over the report's rows.
-void print_sweep_table(std::ostream& os, const SweepReport& report);
-
-/// The machine-readable report (tools/perf_check.py's input format).
-void write_sweep_json(std::ostream& os, const SweepReport& report);
-
-/// Route the report per `json_path`: "" = no JSON, "-" = onto `out`
-/// after the table, else a file (noting the write on `out`). Returns
-/// false when the file cannot be opened.
-bool emit_sweep_json(const SweepReport& report, const std::string& json_path,
-                     std::ostream& out, std::ostream& err);
-
-/// The sequential oracle with its wall time taken best-of-`reps`: it is
-/// the speedup normalizer the CI perf gate compares, so it must not be
-/// a single noisy sample.
-AlgoReference measure_reference(const AlgorithmEntry& algo,
-                                const GraphInstance& graph,
-                                const ParamMap& params, int reps);
-
-/// Best-of-`reps` measurement of one sweep row under `entry`
-/// (registered as `scheduler`): the static-dispatch path when
-/// `static_dispatch` is set and the key resolves to a static row, the
-/// erased factory otherwise. Prefers valid results, then the fastest
-/// wall time. `threads` must already be clamped via effective_threads().
-AlgoResult measure_sweep_row(const SchedulerEntry& entry,
-                             std::string_view scheduler,
-                             const AlgorithmEntry& algo,
-                             std::string_view algo_name,
-                             const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, bool static_dispatch,
-                             const AlgoReference* ref, int reps);
 
 /// `--dispatch static` -> true, no --dispatch -> false. Any other value
 /// returns nullopt after pointing at --batch-size on `err`: the erased
@@ -97,15 +31,30 @@ AlgoResult measure_sweep_row(const SchedulerEntry& entry,
 std::optional<bool> parse_static_dispatch(const ArgParser& args,
                                           std::ostream& err);
 
-/// Whether `scheduler`'s rows run static: `want_static` and the key has
-/// a static entry. Notes the erased fallback on `err` otherwise.
-bool row_dispatch_static(bool want_static, std::string_view scheduler,
-                         std::ostream& err);
-
 /// The "dispatch" label of a run (table column, JSON key, perf-gate row
 /// key): `static` for static dispatch, else `batched` when the
 /// batch-size in `params` is above 1 and `virtual` at 1.
 std::string_view dispatch_label(bool static_dispatch, const ParamMap& params);
+
+/// The params one suite run executes with: the sweep's `params` under
+/// the run's own, which win — they are the suite's sweep axis. A run
+/// that pins `numa` also drops `numa-k`, which would otherwise override
+/// the pinned K of every NUMA-table row and grid point alike.
+ParamMap merge_run_params(const ParamMap& params, const ParamMap& run_params);
+
+/// A `--sched` list: comma-separated registry keys and `auto`; "all" is
+/// every registered scheduler. Throws std::invalid_argument naming the
+/// nearest key for an unknown name.
+std::vector<std::string> parse_sched_list(std::string_view list);
+
+/// The ad-hoc sweep `--sched sched_list [--numa-grid numa_grid]` as an
+/// unnamed suite: one run per scheduler at smq_run's default of 4
+/// threads, times the grid's `numa` points (parse_numa_grid) when a grid
+/// is given. A scheduler without a `numa` tunable runs once (noted on
+/// `err`). Throws std::invalid_argument on an unknown scheduler, a
+/// malformed grid, or `auto` with a grid (the auto rows pin that axis).
+SuiteDef sweep_suite(std::string_view sched_list, std::string_view numa_grid,
+                     std::ostream& err);
 
 struct SuiteOptions {
   std::vector<unsigned> threads;  // empty = the suite's default sweep
@@ -119,20 +68,18 @@ struct SuiteOptions {
   std::string json_path;      // --json PATH|-; empty = table only
 };
 
-/// Expand `suite` into its preset x threads sweep, validate against the
-/// sequential oracle, print the table (and JSON when requested) to
-/// `out`. Returns 0 on success, 1 when any row failed validation, 2 on
-/// configuration errors.
-int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
-              std::ostream& out, std::ostream& err);
-
-/// The suite CLI: --threads/--reps/--dispatch/--json/--graph/--algo/
+/// The sweep CLI: --threads/--reps/--dispatch/--json/--graph/--algo/
 /// --graph-cache/--no-validate plus scheduler and graph tunables.
 /// Returns nullopt after explaining a malformed value on `err`.
 std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
                                                 std::ostream& err);
 
-/// Full CLI entry point over run_suite() for `smq_run --suite NAME`.
-int run_suite_main(std::string_view suite_name, int argc, char** argv);
+/// Run `suite`'s (scheduler, params) x threads sweep, validate every row
+/// against the sequential oracle, print the table (and JSON when
+/// requested) to `out`. Rows are best-of-`reps`; the JSON is
+/// tools/perf_check.py's input format. Returns 0 on success, 1 when any
+/// row failed validation, 2 on configuration errors.
+int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
+              std::ostream& out, std::ostream& err);
 
 }  // namespace smq

@@ -4,10 +4,10 @@
 // A suite names the exact (scheduler preset, per-run params) tuples,
 // thread counts and default graph that reproduce one figure or table of
 // conf_ppopp_PostnikovaKNA22 through the registry runners. `smq_run
-// --suite fig3_6` expands a suite with registry/suite_runner.h,
-// emitting the same ASCII table and JSON rows as an ad-hoc `--sched`
-// sweep — so every figure's configuration is enumerable, validated
-// against the sequential oracle, and gateable by tools/perf_check.py.
+// --suite fig3_6` runs a suite through registry/suite_runner.h, the
+// same runner an ad-hoc `--sched` sweep goes through — so every
+// figure's configuration is enumerable, validated against the
+// sequential oracle, and gateable by tools/perf_check.py.
 // The expansions are golden-tested in tests/test_suite_expansion.cpp;
 // change them deliberately.
 #pragma once
@@ -29,7 +29,7 @@ struct SuiteRun {
 };
 
 struct SuiteDef {
-  std::string name;         // CLI key, e.g. "fig3_6"
+  std::string name;         // CLI key, e.g. "fig3_6"; empty = ad-hoc sweep
   std::string figure;       // the paper artifact, e.g. "Figures 3-6"
   std::string description;  // one-liner for listings
   std::string algo = "sssp";
@@ -37,6 +37,7 @@ struct SuiteDef {
   ParamMap graph_params;            // graph defaults (CLI overrides win)
   std::vector<unsigned> threads;    // default thread sweep
   std::vector<SuiteRun> runs;
+  std::string numa_grid;            // ad-hoc sweeps: the --numa-grid spec
 };
 
 /// Every registered suite, in listing order.

@@ -127,8 +127,8 @@ void print_service_table(std::ostream& os, const ServiceReport& report);
 /// astar sweep over the same graph.
 void write_service_json(std::ostream& os, const ServiceReport& report);
 
-/// "" = no JSON, "-" = onto `out`, else a file (emit_sweep_json's
-/// contract). Returns false when the file cannot be opened.
+/// "" = no JSON, "-" = onto `out`, else a file (the same contract as
+/// a sweep's --json). Returns false when the file cannot be opened.
 bool emit_service_json(const ServiceReport& report, const std::string& json_path,
                        std::ostream& out, std::ostream& err);
 

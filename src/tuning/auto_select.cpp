@@ -72,8 +72,11 @@ AutoSelection select_scheduler(GraphClass cls, std::string_view algorithm,
   return sel;
 }
 
-AutoSelection select_scheduler(const GraphInstance& graph,
-                               std::string_view algorithm, unsigned threads) {
+std::optional<AutoSelection> resolve_auto(std::string_view scheduler,
+                                          const GraphInstance& graph,
+                                          std::string_view algorithm,
+                                          unsigned threads) {
+  if (scheduler != kAutoSchedulerName) return std::nullopt;
   if (!graph.graph) {
     throw std::invalid_argument("auto scheduler: graph instance has no graph");
   }

@@ -9,6 +9,7 @@
 // static dispatch.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -18,7 +19,7 @@
 
 namespace smq::tuning {
 
-/// The pseudo-scheduler name accepted by smq_run / make_service.
+/// The pseudo-scheduler name accepted by smq_run's sweeps and service.
 inline constexpr std::string_view kAutoSchedulerName = "auto";
 
 /// The answer for every key no row covers: the paper's scheduler.
@@ -52,9 +53,14 @@ struct AutoSelection {
 AutoSelection select_scheduler(GraphClass cls, std::string_view algorithm,
                                unsigned threads);
 
-/// Classify `graph` (one O(V) degree pass) and look it up.
-AutoSelection select_scheduler(const GraphInstance& graph,
-                               std::string_view algorithm, unsigned threads);
+/// The one place `auto` is resolved: nullopt when `scheduler` is not
+/// kAutoSchedulerName, else the select_scheduler() answer for `graph`'s
+/// class (one O(V) degree pass), `algorithm` and `threads`. Sweeps call
+/// it per thread count, the service driver once per service.
+std::optional<AutoSelection> resolve_auto(std::string_view scheduler,
+                                          const GraphInstance& graph,
+                                          std::string_view algorithm,
+                                          unsigned threads);
 
 /// One-line provenance note, printed by drivers before running:
 /// "auto: bfs @ 4t on road graph -> pmod-d4 [exact] — ...".

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/stealing_multiqueue.h"
@@ -16,6 +19,7 @@
 #include "registry/numa_grid.h"
 #include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
+#include "registry/suite_runner.h"
 #include "sched/executor.h"
 #include "sched/topology.h"
 #include "support/rng.h"
@@ -215,7 +219,7 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   ASSERT_NE(algo, nullptr);
 
   // One grid point of the driver's sweep: 2 nodes, K = 8.
-  apply_numa_point(params, NumaGridPoint{.nodes = 2, .k = 8, .k_set = true});
+  params.set("numa", parse_numa_grid("nodes=2:k=8").at(0));
   AnyScheduler sched = SchedulerRegistry::instance().create("smq", 4, params);
   const AlgoResult result = algo->run(graph, sched, 4, params, nullptr);
 
@@ -244,6 +248,24 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   EXPECT_GT(reld_result.run.stats.sampled_accesses, 0u);
   EXPECT_GT(reld_result.run.stats.remote_accesses, 0u);
   EXPECT_LT(reld_result.run.stats.remote_frac(), 0.5);
+
+  // K must bias SMQ's victim choice. At 2 threads each node holds one
+  // thread, so every sampled victim is remote whatever K is; at 4
+  // threads over 2 nodes a thread has a same-node victim, and a large K
+  // should keep most samples on it (at 4000 vertices: 0.68 at K=1, 0.22
+  // at K=8, ~0.03 at K=64).
+  const auto smq_remote_frac = [&](const char* numa) {
+    ParamMap p;
+    p.set("numa", numa);
+    AnyScheduler smq = SchedulerRegistry::instance().create("smq", 4, p);
+    const ThreadStats stats = algo->run(graph, smq, 4, p, nullptr).run.stats;
+    EXPECT_GT(stats.sampled_accesses, 0u) << numa;
+    return stats.remote_frac();
+  };
+  const double uniform = smq_remote_frac("nodes=2,k=1");
+  const double weighted = smq_remote_frac("nodes=2,k=64");
+  EXPECT_GT(uniform, 0.3);
+  EXPECT_LT(weighted, uniform / 2) << "K=1: " << uniform;
 }
 
 // ---- the grid parser itself -----------------------------------------------
@@ -252,29 +274,20 @@ TEST(NumaGrid, ParsesCrossProduct) {
   // nodes=1 collapses to one UMA point (K is meaningless there), so
   // 1x{1,8} + 2x{1,8} + 4x{1,8} yields 5 points, not 6.
   const auto grid = parse_numa_grid("nodes=1,2,4:k=1,8");
-  ASSERT_EQ(grid.size(), 5u);
-  EXPECT_EQ(grid[0].nodes, 1u);
-  EXPECT_EQ(grid[0].k, 1.0);
-  EXPECT_FALSE(grid[0].active());
-  EXPECT_EQ(grid[2].nodes, 2u);
-  EXPECT_EQ(grid[2].k, 8.0);
-  EXPECT_TRUE(grid[2].active());
-  EXPECT_EQ(grid[4].nodes, 4u);
-  EXPECT_EQ(grid[4].k, 8.0);
-  EXPECT_EQ(grid[2].spec(), "nodes=2,k=8");
+  EXPECT_EQ(grid, (std::vector<std::string>{"nodes=1,k=1", "nodes=2,k=1",
+                                            "nodes=2,k=8", "nodes=4,k=1",
+                                            "nodes=4,k=8"}));
 }
 
 TEST(NumaGrid, SingleDimensionDefaults) {
-  const auto k_only = parse_numa_grid("k=1,8,64");
-  ASSERT_EQ(k_only.size(), 3u);
-  for (const auto& p : k_only) EXPECT_EQ(p.nodes, 2u);
+  // A K-only sweep runs on 2 nodes.
+  EXPECT_EQ(parse_numa_grid("k=1,8,64"),
+            (std::vector<std::string>{"nodes=2,k=1", "nodes=2,k=8",
+                                      "nodes=2,k=64"}));
   // A nodes-only sweep pins K=1 explicitly, so the recorded analytic E
   // matches the uniform sampling that actually runs.
-  const auto nodes_only = parse_numa_grid("nodes=2,4");
-  ASSERT_EQ(nodes_only.size(), 2u);
-  EXPECT_TRUE(nodes_only[0].k_set);
-  EXPECT_EQ(nodes_only[0].k, 1.0);
-  EXPECT_EQ(nodes_only[0].spec(), "nodes=2,k=1");
+  EXPECT_EQ(parse_numa_grid("nodes=2,4"),
+            (std::vector<std::string>{"nodes=2,k=1", "nodes=4,k=1"}));
 }
 
 TEST(NumaGrid, RejectsMalformedSpecs) {
@@ -285,21 +298,36 @@ TEST(NumaGrid, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_numa_grid("k=0"), std::invalid_argument);
 }
 
-TEST(NumaGrid, ApplyPointDrivesTopologyRebuild) {
-  // The driver rewrites `numa` per grid point; the scheduler configs
-  // must rebuild the topology accordingly.
-  ParamMap params;
-  apply_numa_point(params, NumaGridPoint{.nodes = 4, .k = 16, .k_set = true});
+TEST(NumaGrid, PinnedPointDrivesTopologyRebuild) {
+  // Each grid point pins `numa` on its run; the scheduler configs must
+  // rebuild the topology for it, and a CLI numa-k must not override the
+  // pinned K.
+  const ParamMap cli = params_of({{"numa-k", "2"}});
+  ParamMap params = merge_run_params(
+      cli, params_of({{"numa", parse_numa_grid("nodes=4:k=16").at(0)}}));
   std::shared_ptr<Topology> topo;
   const SmqConfig cfg = make_smq_config(8, params, topo);
   ASSERT_NE(topo, nullptr);
   EXPECT_EQ(topo->num_nodes(), 4u);
   EXPECT_EQ(cfg.numa_weight_k, 16.0);
 
-  apply_numa_point(params, NumaGridPoint{.nodes = 1});
+  params = merge_run_params(
+      cli, params_of({{"numa", parse_numa_grid("nodes=1").at(0)}}));
   std::shared_ptr<Topology> uma;
   make_smq_config(8, params, uma);
   EXPECT_EQ(uma, nullptr);
+}
+
+TEST(NumaGrid, ExpectedInternalFractionFollowsTheParsedSpec) {
+  // E = 1 without a topology; at 4 threads on 2 nodes, K=1 samples
+  // uniformly (E = 1/2) and K=8 gives 2 / (2 + 2/8) = 8/9.
+  const auto e = [](const char* numa, unsigned threads) {
+    return expected_internal_fraction(
+        parse_numa(params_of({{"numa", numa}}), threads, 1.0), threads);
+  };
+  EXPECT_DOUBLE_EQ(e("nodes=1,k=1", 4), 1.0);
+  EXPECT_DOUBLE_EQ(e("nodes=2,k=1", 4), 0.5);
+  EXPECT_NEAR(e("nodes=2,k=8", 4), 8.0 / 9.0, 1e-12);
 }
 
 }  // namespace

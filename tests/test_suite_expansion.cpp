@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <set>
@@ -306,10 +307,32 @@ TEST(SuiteRunner, Table2_3RunsEndToEndAndEmitsLabelledJson) {
       << "a row failed oracle validation:\n" << text;
 }
 
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The number `key` holds in the JSON row whose "scheduler" is `label`
+/// (the writer puts "scheduler" first in each row); NaN when the row or
+/// the key is missing.
+double row_number(const std::string& json, const std::string& label,
+                  const std::string& key) {
+  const std::size_t row = json.find("\"scheduler\": \"" + label + "\"");
+  if (row == std::string::npos) return std::nan("");
+  const std::size_t next = json.find("\"scheduler\": ", row + 1);
+  const std::size_t at = json.find("\"" + key + "\": ", row);
+  if (at == std::string::npos || at > next) return std::nan("");
+  return std::stod(json.substr(at + key.size() + 4));
+}
+
 /// A NUMA-table row pins its topology through the per-run `numa` param:
 /// at 2 threads the two virtual nodes are built, so the scheduler samples
 /// steal victims through the weighted sampler and the row's JSON carries
-/// the sampled and remote access counts.
+/// the sampled and remote access counts plus the point it ran.
 TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   const SuiteDef* table = find_suite("table24_27");
   ASSERT_NE(table, nullptr);
@@ -330,6 +353,36 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   ASSERT_NE(key, std::string::npos) << "no sampled accesses:\n" << text;
   EXPECT_GT(std::stoull(text.substr(key + 20)), 0u) << text;
   EXPECT_NE(text.find("\"remote_frac\": "), std::string::npos);
+  // The NUMA columns come from the run's own spec, as on a grid row:
+  // at 2 threads on 2 nodes, K=8 gives E = 1 / (1 + 1/8) = 8/9.
+  const std::string label = "smq/numa=nodes=2,k=8";
+  EXPECT_EQ(row_number(text, label, "numa_nodes"), 2.0) << text;
+  EXPECT_EQ(row_number(text, label, "numa_k"), 8.0) << text;
+  EXPECT_NEAR(row_number(text, label, "internal_frac_expected"), 8.0 / 9.0,
+              1e-9)
+      << text;
+
+  // A CLI numa-k must not flatten the K axis: each run pins its own K.
+  // At 4 threads each node holds two threads, so K shows in SMQ's
+  // victim choice: the K=64 row stays on its node far more than K=1.
+  SuiteDef k_axis = *table;
+  k_axis.runs = {table->runs[1], table->runs[7]};
+  ASSERT_EQ(k_axis.runs[0].params.get("numa"), "nodes=2,k=1");
+  ASSERT_EQ(k_axis.runs[1].params.get("numa"), "nodes=2,k=64");
+  opts.threads = {4};
+  opts.cli_params.set("vertices", "4000");
+  opts.cli_params.set("numa-k", "1");
+  std::ostringstream k_out;
+  ASSERT_EQ(run_suite(k_axis, opts, k_out, err), 0) << err.str();
+  const std::string k_text = k_out.str();
+  const double uniform =
+      row_number(k_text, "smq/numa=nodes=2,k=1", "remote_frac");
+  const double weighted =
+      row_number(k_text, "smq/numa=nodes=2,k=64", "remote_frac");
+  ASSERT_FALSE(std::isnan(uniform) || std::isnan(weighted)) << k_text;
+  EXPECT_LT(weighted, uniform / 2) << k_text;
+  EXPECT_EQ(row_number(k_text, "smq/numa=nodes=2,k=64", "numa_k"), 64.0)
+      << k_text;
 }
 
 /// CLI tunables flow into suite rows, but a run's own grid params win —
@@ -350,21 +403,125 @@ TEST(SuiteRunner, RunGridParamsWinOverCliTunables) {
   EXPECT_NE(out.str().find("mq-opt (TL/B)"), std::string::npos);
 }
 
+// ---- the ad-hoc sweep as an unnamed suite ---------------------------------
+
+TEST(SweepSuite, GridCrossesNumaSchedulersAndRunsTheRestOnce) {
+  std::ostringstream err;
+  const SuiteDef suite =
+      sweep_suite("smq,sequential,mq", "nodes=1,2:k=1,8", err);
+  EXPECT_TRUE(suite.name.empty());
+  EXPECT_EQ(suite.threads, std::vector<unsigned>{4});
+  EXPECT_EQ(suite.numa_grid, "nodes=1,2:k=1,8");
+  const std::vector<Tuple> expected{
+      {"smq", "nodes=1,k=1"}, {"smq", "nodes=2,k=1"}, {"smq", "nodes=2,k=8"},
+      {"sequential", ""},     {"mq", "nodes=1,k=1"},  {"mq", "nodes=2,k=1"},
+      {"mq", "nodes=2,k=8"}};
+  EXPECT_EQ(grid_of(suite, "numa", 0), expected);
+  for (const SuiteRun& run : suite.runs) {
+    EXPECT_EQ(suite_run_label(run), run.scheduler);
+  }
+  EXPECT_NE(err.str().find("'sequential' takes no numa tunable"),
+            std::string::npos)
+      << err.str();
+}
+
+TEST(SweepSuite, PlainSweepIsOneUnpinnedRunPerScheduler) {
+  std::ostringstream err;
+  const SuiteDef suite = sweep_suite("smq,auto", "", err);
+  EXPECT_EQ(grid_of(suite, "numa", 0),
+            (std::vector<Tuple>{{"smq", ""}, {"auto", ""}}));
+  EXPECT_TRUE(suite.numa_grid.empty());
+  EXPECT_TRUE(err.str().empty()) << err.str();
+  EXPECT_EQ(sweep_suite("all", "", err).runs.size(),
+            SchedulerRegistry::instance().names().size());
+}
+
+TEST(SweepSuite, RejectsUnknownSchedulersBadGridsAndAutoOnAGrid) {
+  std::ostringstream err;
+  try {
+    sweep_suite("smq,smq-p9", "", err);
+    ADD_FAILURE() << "unknown scheduler accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'smq-p"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(sweep_suite("auto", "k=1,8", err), std::invalid_argument);
+  EXPECT_THROW(sweep_suite("smq", "cores=2", err), std::invalid_argument);
+}
+
+TEST(SweepSuite, PlainSweepJsonHasNoSuiteOrNumaKeys) {
+  std::ostringstream err;
+  SuiteOptions opts;
+  opts.threads = {2};
+  opts.cli_params.set("vertices", "300");
+  opts.json_path = "-";
+  std::ostringstream out;
+  ASSERT_EQ(run_suite(sweep_suite("smq,mq", "", err), opts, out, err), 0)
+      << err.str();
+  const std::string text = out.str();
+  EXPECT_EQ(text.find("\"suite\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("suite:"), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"numa_grid\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"numa_nodes\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"preset\""), std::string::npos) << text;
+  EXPECT_EQ(count_of(text, "\"scheduler\": \"smq\""), 1u);
+  EXPECT_EQ(count_of(text, "\"scheduler\": \"mq\""), 1u);
+  EXPECT_EQ(count_of(text, "\"valid\": true"), 2u) << text;
+}
+
+TEST(SweepSuite, GridRowsCarryTheirPointAndSkipNonNumaSchedulers) {
+  std::ostringstream err;
+  SuiteOptions opts;
+  opts.threads = {2};
+  opts.cli_params.set("vertices", "300");
+  opts.json_path = "-";
+  std::ostringstream out;
+  const SuiteDef suite = sweep_suite("smq,sequential", "k=1,8", err);
+  ASSERT_EQ(run_suite(suite, opts, out, err), 0) << err.str();
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"numa_grid\": \"k=1,8\""), std::string::npos);
+  EXPECT_EQ(count_of(text, "\"scheduler\": \"smq\""), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"scheduler\": \"sequential\""), 1u) << text;
+  EXPECT_EQ(count_of(text, "\"numa_nodes\": 2"), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"numa_k\": 1,"), 1u) << text;
+  EXPECT_EQ(count_of(text, "\"numa_k\": 8,"), 1u) << text;
+  EXPECT_EQ(count_of(text, "\"internal_frac_expected\": "), 2u) << text;
+  EXPECT_EQ(text.find("\"valid\": false"), std::string::npos) << text;
+}
+
+TEST(SweepSuite, AutoRowsReportARegisteredPresetPerThreadCount) {
+  std::ostringstream err;
+  SuiteOptions opts;
+  opts.threads = {1, 4};
+  opts.cli_params.set("vertices", "2000");
+  opts.json_path = "-";
+  std::ostringstream out;
+  ASSERT_EQ(run_suite(sweep_suite("auto", "", err), opts, out, err), 0)
+      << err.str();
+  const std::string text = out.str();
+  EXPECT_EQ(count_of(text, "\"scheduler\": \"auto\""), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"auto\": true"), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"auto_match\": "), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"auto_why\": "), 2u) << text;
+  EXPECT_EQ(count_of(text, "\"valid\": true"), 2u) << text;
+  const std::string key = "\"preset\": \"";
+  std::size_t presets = 0;
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1), ++presets) {
+    const std::size_t from = at + key.size();
+    const std::string preset = text.substr(from, text.find('"', from) - from);
+    EXPECT_NE(SchedulerRegistry::instance().find(preset), nullptr) << preset;
+  }
+  EXPECT_EQ(presets, 2u) << text;
+}
+
 // ---- dispatch flag and row labels -----------------------------------------
 
 ArgParser parse_argv(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "smq_run");
   return ArgParser(static_cast<int>(argv.size()),
                    const_cast<char**>(argv.data()));
-}
-
-std::size_t count_of(const std::string& text, const std::string& needle) {
-  std::size_t n = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + 1)) {
-    ++n;
-  }
-  return n;
 }
 
 /// The erased path has one loop, so the old loop names are gone: they

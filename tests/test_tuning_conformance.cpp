@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -141,7 +142,10 @@ TEST(TuningConformance, AutoIsOracleValidOnEveryClass) {
       for (const unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(std::string(to_string(cls)) + '/' + algo + " @ " +
                      std::to_string(threads) + 't');
-        const AutoSelection sel = select_scheduler(inst, algo, threads);
+        const std::optional<AutoSelection> pick =
+            resolve_auto(kAutoSchedulerName, inst, algo, threads);
+        ASSERT_TRUE(pick.has_value());
+        const AutoSelection& sel = *pick;
         EXPECT_EQ(sel.cls, cls);
         EXPECT_FALSE(sel.why.empty());
         expect_oracle_valid(sel.preset, algo, inst, threads);

@@ -16,14 +16,14 @@
 // Scheduler/algorithm/graph tunables (see --list) are passed as plain
 // --key value options: --sched smq --steal-size 4 --p-steal 1/8 --numa k=8
 //
-// --suite expands one of the paper's figure sweeps (registry/suites.h)
-// over its scheduler presets — same table, same JSON rows; the suite
-// pins the preset grid, the CLI still controls graph/threads/reps.
-//
-// --numa-grid crosses a simulated-NUMA sweep (virtual node counts x
-// remote-weight divisors K, Section 4 / Tables 16-27) with the
-// scheduler x threads sweep: the Topology is rebuilt per grid point and
-// every row reports the measured remote-access fraction next to the
+// Every sweep is a suite run by registry/suite_runner.h. --suite picks
+// one of the paper's figure sweeps (registry/suites.h), which pins its
+// scheduler presets and per-run params; the CLI still controls
+// graph/threads/reps. --sched a,b[,auto] is expanded by sweep_suite()
+// into an unnamed suite with one run per scheduler; --numa-grid
+// (virtual node counts x remote-weight divisors K, Section 4 / Tables
+// 16-27) crosses those runs with one pinned `numa` point each, and every
+// such row reports the measured remote-access fraction next to the
 // analytic expectation E.
 //
 // Every run goes through the executor's one batched loop, behind
@@ -32,6 +32,9 @@
 // and `batched` above it. --dispatch static instead instantiates the
 // concrete scheduler directly, with no erasure (hot config families and
 // their presets — see static_dispatch.h; others run erased and say so).
+//
+// --service drives a query stream through a persistent worker pool
+// instead (service/service_driver.h).
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -43,7 +46,6 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/listing.h"
-#include "registry/numa_grid.h"
 #include "registry/scheduler_registry.h"
 #include "registry/service_factory.h"
 #include "registry/suite_runner.h"
@@ -56,10 +58,10 @@ namespace {
 
 using namespace smq;
 
-/// Every flag this driver (and the suite runner it delegates to)
-/// understands: the built-ins plus every registered tunable of every
-/// scheduler, graph source and algorithm. Unknown flags are fatal —
-/// a silently ignored "--steal-sice 8" measures the wrong config.
+/// Every flag this driver understands: the built-ins plus every
+/// registered tunable of every scheduler, graph source and algorithm.
+/// Unknown flags are fatal — a silently ignored "--steal-sice 8"
+/// measures the wrong config.
 std::vector<std::string> known_flags() {
   std::vector<std::string> known = {
       "help",       "h",         "list",      "suite",    "sched",
@@ -97,22 +99,6 @@ bool check_flags(const ArgParser& args) {
   return ok;
 }
 
-/// "unknown scheduler: X (did you mean 'Y'?)" over the registry names
-/// plus the "auto" pseudo-scheduler.
-std::string unknown_scheduler_message(const std::string& name) {
-  std::vector<std::string> known = SchedulerRegistry::instance().names();
-  known.emplace_back(tuning::kAutoSchedulerName);
-  std::string msg = "unknown scheduler: " + name;
-  const std::string near = nearest_name(name, known);
-  if (!near.empty()) msg += " (did you mean '" + near + "'?)";
-  msg += " (see smq_run --list)";
-  return msg;
-}
-
-bool is_auto_sched(const std::string& name) {
-  return name == tuning::kAutoSchedulerName;
-}
-
 void print_suite_listing(std::ostream& os) {
   os << "\nsuites (--suite NAME reproduces the paper artifact):\n";
   for (const SuiteDef& suite : suites()) {
@@ -142,21 +128,10 @@ int run_service_mode(const ArgParser& args) {
     return 2;
   }
 
-  std::vector<std::string> sched_names =
-      split_list(args.get("sched", "smq"), ',');
-  if (sched_names.size() == 1 && sched_names[0] == "all") {
-    sched_names = SchedulerRegistry::instance().names();
-  }
-  for (const std::string& name : sched_names) {
-    if (!is_auto_sched(name) &&
-        SchedulerRegistry::instance().find(name) == nullptr) {
-      std::cerr << unknown_scheduler_message(name) << "\n";
-      return 2;
-    }
-  }
-
+  std::vector<std::string> sched_names;
   std::vector<unsigned> thread_counts;
   try {
+    sched_names = parse_sched_list(args.get("sched", "smq"));
     thread_counts = parse_thread_list(args.get("threads", "4"));
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
@@ -206,18 +181,15 @@ int run_service_mode(const ArgParser& args) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     for (const unsigned requested : thread_counts) {
-      // `auto` resolves once per thread count (the winning preset may
-      // change with the worker count); the row keeps "auto" as its
-      // scheduler and reports the resolved preset.
-      tuning::AutoSelection selection;
-      std::string create_name = name;
-      if (is_auto_sched(name)) {
-        selection = tuning::select_scheduler(graph, service_auto_algorithm(graph),
-                                             requested == 0 ? 1 : requested);
-        create_name = selection.preset;
+      // `auto` resolves once per service (the winning preset may change
+      // with the worker count); the row keeps "auto" as its scheduler
+      // and reports the resolved preset.
+      const std::optional<tuning::AutoSelection> pick = tuning::resolve_auto(
+          name, graph, service_auto_algorithm(graph), requested);
+      const std::string create_name = pick ? pick->preset : name;
+      if (pick) {
         std::cout << tuning::describe_selection(
-                         selection, service_auto_algorithm(graph),
-                         requested == 0 ? 1 : requested)
+                         *pick, service_auto_algorithm(graph), requested)
                   << "\n";
       }
       const unsigned threads = service_effective_threads(create_name, requested);
@@ -229,10 +201,10 @@ int run_service_mode(const ArgParser& args) {
         service->stop();
         ServiceRow row;
         row.scheduler = name;
-        if (is_auto_sched(name)) {
-          row.preset = selection.preset;
-          row.auto_match = std::string(tuning::to_string(selection.match));
-          row.auto_why = selection.why;
+        if (pick) {
+          row.preset = pick->preset;
+          row.auto_match = std::string(tuning::to_string(pick->match));
+          row.auto_why = pick->why;
         }
         row.threads = threads;
         row.lanes = service->num_lanes();
@@ -283,14 +255,18 @@ int run(int argc, char** argv) {
            "Runs algorithm x scheduler x threads sweeps over a graph and "
            "prints a table\nplus optional JSON. `--list` shows every "
            "registered scheduler, algorithm,\ngraph source and figure suite "
-           "with its tunables. `--suite` expands one of\nthe paper's figure "
-           "sweeps over its scheduler presets. `--batch-size N` sets\nthe "
-           "tasks per scheduler call (default 1); `--dispatch static` runs "
-           "the\nconcrete scheduler without type erasure; `--graph-cache DIR` "
-           "caches generated\ngraphs as binary CSR keyed by their parameters so "
-           "repeated sweeps skip\ngeneration; `--numa-grid` crosses the "
-           "sweep with simulated-NUMA grid points\n(nodes x K), each row "
-           "reporting its measured remote-access fraction.\n\n"
+           "with its tunables. `--suite NAME` runs one of\nthe paper's "
+           "figure sweeps through the same runner as `--sched`: the suite\n"
+           "pins its scheduler presets and per-run params, which win over "
+           "CLI tunables\n(a pinned `numa` also drops --numa-k); --threads, "
+           "--reps, --graph, --algo\nand graph tunables still apply. "
+           "`--batch-size N` sets the tasks per scheduler\ncall (default 1); "
+           "`--dispatch static` runs the concrete scheduler without\ntype "
+           "erasure; `--graph-cache DIR` caches generated graphs as binary "
+           "CSR keyed\nby their parameters so repeated sweeps skip "
+           "generation; `--numa-grid` crosses\nthe sweep with "
+           "simulated-NUMA grid points (nodes x K), each row reporting\nits "
+           "measured remote-access fraction.\n\n"
            "`--sched auto` picks, per thread count, the compiled-in row for "
            "this (graph\nclass, algorithm) with the largest min_threads <= "
            "threads, or `smq` when\nno row matches (`--list` prints the "
@@ -323,8 +299,9 @@ int run(int argc, char** argv) {
     return run_service_mode(args);
   }
 
-  // ---- suite delegation ------------------------------------------------
-  // A suite is a pinned sweep; the shared runner owns its whole CLI.
+  // ---- sweeps -----------------------------------------------------------
+  // A figure suite, or the ad-hoc --sched sweep expanded into an unnamed
+  // one: either way the shared runner measures, validates and emits.
   if (args.has_flag("suite")) {
     if (args.has_flag("numa-grid")) {
       std::cerr << "--suite and --numa-grid cannot be combined (suites pin "
@@ -336,222 +313,28 @@ int run(int argc, char** argv) {
                    "names its schedulers)\n";
       return 2;
     }
-    const std::string suite_name = args.get("suite");
-    if (find_suite(suite_name) == nullptr) {
-      std::cerr << unknown_suite_message(suite_name) << "\n";
+  }
+  const std::optional<SuiteOptions> opts =
+      parse_suite_options(args, std::cerr);
+  if (!opts) return 2;
+  SuiteDef suite;
+  if (args.has_flag("suite")) {
+    const SuiteDef* named = find_suite(args.get("suite"));
+    if (named == nullptr) {
+      std::cerr << unknown_suite_message(args.get("suite")) << "\n";
       return 2;
     }
-    return run_suite_main(suite_name, argc, argv);
-  }
-
-  ParamMap params = ParamMap::from_args(args);
-
-  // ---- dispatch ----------------------------------------------------------
-  const std::optional<bool> want_static =
-      parse_static_dispatch(args, std::cerr);
-  if (!want_static) return 2;
-
-  // ---- resolve the three registry axes --------------------------------
-  const std::string algo_name = args.get("algo", "sssp");
-  const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
-  if (algo == nullptr) {
-    std::cerr << "unknown algorithm: " << algo_name
-              << " (see smq_run --list)\n";
-    return 2;
-  }
-
-  const std::string graph_name = args.get("graph", "rand");
-  const std::string graph_cache = args.get("graph-cache");
-  GraphInstance graph;
-  try {
-    graph = graph_cache.empty()
-                ? GraphRegistry::instance().create(graph_name, params)
-                : GraphRegistry::instance().create_cached(graph_name, params,
-                                                          graph_cache);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << " (see smq_run --list)\n";
-    return 2;
-  }
-
-  std::vector<std::string> sched_names = split_list(args.get("sched", "smq"), ',');
-  if (sched_names.size() == 1 && sched_names[0] == "all") {
-    sched_names = SchedulerRegistry::instance().names();
-  }
-  for (const std::string& name : sched_names) {
-    if (!is_auto_sched(name) &&
-        SchedulerRegistry::instance().find(name) == nullptr) {
-      std::cerr << unknown_scheduler_message(name) << "\n";
-      return 2;
-    }
-  }
-
-  std::vector<unsigned> thread_counts;
-  try {
-    thread_counts = parse_thread_list(args.get("threads", "4"));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-  const std::string warn = oversubscription_warning(
-      thread_counts, std::thread::hardware_concurrency());
-  if (!warn.empty()) std::cerr << warn << "\n";
-  const int reps = static_cast<int>(args.get_int("reps", 1));
-  const bool validate = !args.has_flag("no-validate");
-
-  // ---- NUMA grid -------------------------------------------------------
-  // Without --numa-grid the sweep has a single inactive point that
-  // leaves the params (and any manual --numa) untouched.
-  const std::string numa_grid_spec = args.get("numa-grid");
-  std::vector<NumaGridPoint> numa_grid{NumaGridPoint{}};
-  const bool grid_active = !numa_grid_spec.empty();
-  if (grid_active) {
+    suite = *named;
+  } else {
     try {
-      numa_grid = parse_numa_grid(numa_grid_spec);
-    } catch (const std::exception& e) {
+      suite = sweep_suite(args.get("sched", "smq"), args.get("numa-grid"),
+                          std::cerr);
+    } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";
       return 2;
     }
   }
-
-  // ---- `--sched auto` resolution input --------------------------------
-  // The graph is classified once; resolution itself happens per thread
-  // count (the winner can change with it).
-  const bool any_auto =
-      std::any_of(sched_names.begin(), sched_names.end(), is_auto_sched);
-  tuning::GraphClass auto_cls = tuning::GraphClass::kUniform;
-  if (any_auto) {
-    if (grid_active) {
-      std::cerr << "--sched auto cannot be combined with --numa-grid (the "
-                   "grid sweeps the axis the auto rows have already pinned)\n";
-      return 2;
-    }
-    auto_cls = tuning::fingerprint_graph(*graph.graph).cls;
-  }
-
-  SweepReport report;
-  report.algorithm = algo_name;
-  report.graph = graph;
-  report.params = params;
-  report.dispatch = dispatch_label(*want_static, params);
-  report.numa_grid_spec = numa_grid_spec;
-
-  std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
-            << " vertices, " << graph.graph->num_edges() << " edges)\n"
-            << "algorithm: " << algo_name << "\n"
-            << "dispatch: " << report.dispatch << " (batch-size "
-            << params.get("batch-size", "1") << ")\n";
-  if (grid_active) {
-    std::cout << "numa grid: " << numa_grid_spec << " (" << numa_grid.size()
-              << " points)\n";
-  }
-
-  // ---- sequential oracle ----------------------------------------------
-  AlgoReference reference;
-  if (validate) {
-    reference = measure_reference(*algo, graph, params, reps);
-    report.reference = &reference;
-    std::cout << "reference: " << reference.reference_tasks << " tasks, "
-              << TablePrinter::fmt(reference.seconds * 1e3)
-              << " ms sequential\n";
-  }
-  std::cout << '\n';
-
-  // ---- the sweep -------------------------------------------------------
-  bool any_invalid = false;
-  for (const std::string& name : sched_names) {
-    if (is_auto_sched(name)) {
-      // One resolution per thread count; the row runs the
-      // resolved preset on the requested path (erased or static — same
-      // as naming it by hand) and carries the provenance into
-      // table/JSON.
-      for (const unsigned requested : thread_counts) {
-        const unsigned want = requested == 0 ? 1 : requested;
-        const tuning::AutoSelection sel =
-            tuning::select_scheduler(auto_cls, algo_name, want);
-        const SchedulerEntry* entry =
-            SchedulerRegistry::instance().find(sel.preset);
-        const bool row_static =
-            row_dispatch_static(*want_static, sel.preset, std::cerr);
-        std::cout << tuning::describe_selection(sel, algo_name, want) << "\n";
-        SweepRow row;
-        row.label = name;
-        row.scheduler = sel.preset;
-        row.auto_selected = true;
-        row.auto_match = std::string(tuning::to_string(sel.match));
-        row.auto_why = sel.why;
-        row.requested_threads = requested;
-        row.threads = effective_threads(*entry, requested);
-        row.dispatch = dispatch_label(row_static, params);
-        row.reps = std::max(1, reps);
-        row.result =
-            measure_sweep_row(*entry, sel.preset, *algo, algo_name, graph,
-                              row.threads, params, row_static,
-                              report.reference, reps);
-        if (row.result.validated && !row.result.valid) any_invalid = true;
-        report.rows.push_back(std::move(row));
-      }
-      continue;
-    }
-    const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
-    // Static dispatch covers the hot config families (and their presets)
-    // only; anything else keeps its uniform erased path (and says so).
-    const bool row_static = row_dispatch_static(*want_static, name, std::cerr);
-    // Schedulers that do not take the `numa` tunable (their factories
-    // ignore it) run once, not once per grid point — rows claiming a
-    // topology that never applied would poison the trajectory.
-    const bool supports_numa =
-        std::any_of(entry->tunables.begin(), entry->tunables.end(),
-                    [](const Tunable& t) { return t.name == "numa"; });
-    if (grid_active && !supports_numa) {
-      std::cerr << "note: '" << name << "' takes no numa tunable; running "
-                << "it once without the grid\n";
-    }
-    bool ran_without_grid = false;
-    for (const NumaGridPoint& point : numa_grid) {
-      const bool apply_grid = grid_active && supports_numa;
-      if (grid_active && !supports_numa) {
-        if (ran_without_grid) break;
-        ran_without_grid = true;
-      }
-      // Each grid point rewrites the `numa` tunable, so the scheduler
-      // factory rebuilds the simulated Topology for it.
-      ParamMap run_params = params;
-      if (apply_grid) apply_numa_point(run_params, point);
-      for (const unsigned requested : thread_counts) {
-        const unsigned threads = effective_threads(*entry, requested);
-        SweepRow row;
-        row.label = name;
-        row.scheduler = name;
-        row.requested_threads = requested;
-        row.threads = threads;
-        row.dispatch = dispatch_label(row_static, run_params);
-        row.numa = apply_grid ? point : NumaGridPoint{};
-        // The topology clamps nodes to the thread count (no empty
-        // nodes); report the configuration that actually ran, so the
-        // row's analytic E and measured remote_frac stay consistent.
-        if (row.numa.nodes > threads) row.numa.nodes = threads;
-        row.numa_grid = apply_grid;
-        row.reps = std::max(1, reps);
-        row.result =
-            measure_sweep_row(*entry, name, *algo, algo_name, graph, threads,
-                              run_params, row_static, report.reference, reps);
-        if (row.result.validated && !row.result.valid) any_invalid = true;
-        report.rows.push_back(std::move(row));
-      }
-    }
-  }
-
-  // ---- ASCII table + JSON ---------------------------------------------
-  print_sweep_table(std::cout, report);
-  if (!emit_sweep_json(report, args.get("json"), std::cout, std::cerr)) {
-    return 2;
-  }
-
-  if (any_invalid) {
-    std::cerr << "\nERROR: at least one scheduler produced a wrong answer\n";
-    return 1;
-  }
-  return 0;
+  return run_suite(suite, *opts, std::cout, std::cerr);
 }
 
 }  // namespace
