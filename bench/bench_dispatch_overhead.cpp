@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
   std::cout << "=== dispatch overhead: SSSP / " << graph.name << " / "
             << threads << " threads, best of " << reps << " ===\n\n";
 
-  const std::vector<std::string> schedulers = static_dispatch_keys();
+  // The static-dispatch families plus mq, the classic MQ preset.
+  const std::vector<std::string> schedulers{"smq",    "smq-skiplist", "mq",
+                                            "mq-opt", "obim",         "pmod"};
   std::vector<Row> rows;
 
   for (const std::string& name : schedulers) {

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/reld.h"
 #include "queues/skiplist.h"
@@ -42,9 +41,9 @@ int main(int argc, char** argv) {
         StealingMultiQueue<SequentialSkipList>(
             threads, {.steal_size = 4, .p_steal = 0.125}));
   probe("classic MQ (C=2)",
-        ClassicMultiQueue(threads, {.queue_multiplier = 2}));
+        OptimizedMultiQueue(threads, {.queue_multiplier = 2}));
   probe("classic MQ (C=8)",
-        ClassicMultiQueue(threads, {.queue_multiplier = 8}));
+        OptimizedMultiQueue(threads, {.queue_multiplier = 8}));
   {
     OptimizedMqConfig cfg;
     cfg.insert_policy = InsertPolicy::kBatching;

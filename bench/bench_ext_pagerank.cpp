@@ -13,7 +13,7 @@
 #include "algorithms/pagerank.h"
 #include "core/stealing_multiqueue.h"
 #include "graph/generators.h"
-#include "queues/classic_multiqueue.h"
+#include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
 #include "queues/spraylist.h"
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   report("SMQ (heap, default)",
          StealingMultiQueue<>(threads, {.steal_size = 4, .p_steal = 0.125}));
-  report("classic MQ (C=4)", ClassicMultiQueue(threads, {}));
+  report("classic MQ (C=4)", OptimizedMultiQueue(threads));
   report("OBIM (delta 2^2)",
          Obim(threads, {.chunk_size = 32, .delta_shift = 2}));
   report("PMOD", Pmod(threads, {.chunk_size = 32, .delta_shift = 2}));

@@ -111,8 +111,9 @@ SuiteDef make_suite(const Workload& w, const std::vector<unsigned>& threads) {
   d.runs.push_back({"smq", tuned_smq_params(w), "smq (tuned)"});
   const bool numa = *std::max_element(threads.begin(), threads.end()) >= 4;
   for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
-    // Presets are the ablation grids of the other suites; the
-    // sequential baseline is every row's reference.
+    // Presets are the ablation grids of the other suites (the classic
+    // MQ is one: the mq-c4 baseline row runs it); the sequential
+    // baseline is every row's reference.
     if (!entry.family.empty() || entry.max_threads == 1) continue;
     SuiteRun run{entry.name, {}, ""};
     if (entry.name == "smq" || entry.name == "mq-opt") {

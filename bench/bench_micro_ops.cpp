@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
@@ -40,7 +39,7 @@ void run_mixed_ops(benchmark::State& state, Sched& sched) {
 }
 
 void BM_ClassicMq(benchmark::State& state) {
-  ClassicMultiQueue sched(1, {.queue_multiplier = 4});
+  OptimizedMultiQueue sched(1, {.queue_multiplier = 4});
   run_mixed_ops(state, sched);
 }
 BENCHMARK(BM_ClassicMq);
@@ -58,6 +57,8 @@ BENCHMARK(BM_OptimizedMqBatching);
 
 void BM_OptimizedMqTemporalLocality(benchmark::State& state) {
   OptimizedMqConfig cfg;
+  cfg.insert_policy = InsertPolicy::kTemporalLocality;
+  cfg.delete_policy = DeletePolicy::kTemporalLocality;
   cfg.p_insert_change = 1.0 / 16;
   cfg.p_delete_change = 1.0 / 16;
   OptimizedMultiQueue sched(1, cfg);

@@ -20,15 +20,19 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "registry/graph_registry.h"
 #include "registry/params.h"
+#include "registry/scheduler_registry.h"
 #include "registry/service_factory.h"
+#include "registry/suite_runner.h"
 #include "service/query.h"
 #include "service/service_driver.h"
 #include "support/cli.h"
+#include "tuning/auto_select.h"
 
 int main(int argc, char** argv) {
   using namespace smq;
@@ -45,7 +49,24 @@ int main(int argc, char** argv) {
   const auto queries =
       static_cast<std::size_t>(args.get_int("queries", 150));
   const int reps = static_cast<int>(args.get_int("reps", 3));
+  // One registry key, checked before the graph is built. `auto` picks a
+  // preset per graph and algorithm, which smq_run's service mode does.
   const std::string sched_name = args.get("sched", "smq");
+  if (sched_name == tuning::kAutoSchedulerName) {
+    std::cerr << "--sched auto is resolved by `smq_run --service --sched "
+                 "auto`; pass a registry key here\n";
+    return 2;
+  }
+  if (SchedulerRegistry::instance().find(sched_name) == nullptr) {
+    try {
+      parse_sched_list(sched_name);  // throws naming the nearest key
+      std::cerr << "--sched takes one registry key, not " << sched_name
+                << "\n";
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+    }
+    return 2;
+  }
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("query-seed", 1));
   std::vector<double> qps_points;

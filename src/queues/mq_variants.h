@@ -1,7 +1,16 @@
-// Optimized classic Multi-Queue variants (paper Section 2.1, Appendix C).
+// The Multi-Queue (Rihani, Sanders, Dementiev) and its optimized
+// variants (paper Section 2.1, Appendix C).
+//
+// m = C * T sequential heaps, each guarded by a try-lock. The default
+// config is the classic MQ of paper Listing 1, the baseline of every
+// speedup table in the paper: insert() locks a uniformly random queue,
+// adds, unlocks and restarts on lock failure; delete() picks two
+// distinct random queues and takes the top of the one whose top has
+// higher priority, restarting on lock failure. NUMA-weighted sampling
+// (Section 4) plugs in through QueueSampler.
 //
 // Two independent optimizations, each applicable to insert() and to
-// delete(), giving the four combinations the appendix ablates:
+// delete(), give the four combinations the appendix ablates:
 //
 //  * Task batching (Optimization 1): inserts are buffered thread-locally
 //    and flushed to one random queue with a single lock acquisition once
@@ -11,8 +20,9 @@
 //    flips a coin with probability p_change of re-sampling a queue, and
 //    otherwise keeps using the queue of its previous operation.
 //
-// The paper's sweeps use p in {1/1, 1/2, ..., 1/1024} (p = 1 reproduces
-// the classic behaviour) and batch sizes in {1, 2, ..., 1024}.
+// The paper's sweeps use p in {1/1, 1/2, ..., 1/1024} and batch sizes in
+// {1, 2, ..., 1024}; batches of 1 (the default) or p = 1 reproduce the
+// classic MQ.
 //
 // Both optimizations are per-thread-state tricks (insert/delete buffers,
 // the sticky queue choice), which is exactly what the Handle hoists: it
@@ -21,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,10 +48,11 @@ namespace smq {
 enum class InsertPolicy { kTemporalLocality, kBatching };
 enum class DeletePolicy { kTemporalLocality, kBatching };
 
+/// The defaults are the classic MQ (Listing 1): batches of 1 on both sides.
 struct OptimizedMqConfig {
-  unsigned queue_multiplier = 4;
-  InsertPolicy insert_policy = InsertPolicy::kTemporalLocality;
-  DeletePolicy delete_policy = DeletePolicy::kTemporalLocality;
+  unsigned queue_multiplier = 4;  // C: queues per thread
+  InsertPolicy insert_policy = InsertPolicy::kBatching;
+  DeletePolicy delete_policy = DeletePolicy::kBatching;
   // Temporal locality: probability of changing queues before an op.
   double p_insert_change = 1.0;
   double p_delete_change = 1.0;
@@ -64,7 +74,7 @@ class OptimizedMultiQueue {
  public:
   using Config = OptimizedMqConfig;
 
-  OptimizedMultiQueue(unsigned num_threads, Config cfg)
+  OptimizedMultiQueue(unsigned num_threads, Config cfg = {})
       : cfg_(cfg),
         num_threads_(num_threads),
         queues_(static_cast<std::size_t>(num_threads) * cfg.queue_multiplier),
@@ -92,6 +102,11 @@ class OptimizedMultiQueue {
       Local& local = *me_;
       const Config& cfg = sched_->cfg_;
       if (cfg.insert_policy == InsertPolicy::kBatching) {
+        // A batch of 1 is the classic insert: no buffer round trip.
+        if (cfg.insert_batch <= 1) {
+          push_to_random_queue(&task, 1);
+          return;
+        }
         local.insert_buffer.push_back(task);
         if (local.insert_buffer.size() >= cfg.insert_batch) flush_inserts();
         return;
@@ -117,7 +132,8 @@ class OptimizedMultiQueue {
     void push_batch(std::span<const Task> tasks) {
       Local& local = *me_;
       const Config& cfg = sched_->cfg_;
-      if (cfg.insert_policy != InsertPolicy::kBatching) {
+      if (cfg.insert_policy != InsertPolicy::kBatching ||
+          cfg.insert_batch <= 1) {
         for (const Task& task : tasks) push(task);
         return;
       }
@@ -129,10 +145,8 @@ class OptimizedMultiQueue {
 
     std::optional<Task> try_pop() {
       Local& local = *me_;
-      if (!local.delete_buffer.empty()) {
-        Task t = local.delete_buffer.front();
-        local.delete_buffer.pop_front();
-        return t;
+      if (local.delete_next < local.delete_buffer.size()) {
+        return local.delete_buffer[local.delete_next++];
       }
       const Config& cfg = sched_->cfg_;
       const std::size_t want =
@@ -141,17 +155,15 @@ class OptimizedMultiQueue {
       for (int attempt = 0; attempt < 64; ++attempt) {
         const std::size_t target = choose_delete_queue();
         if (target == kNone) {
-          if (sched_->queues_.all_empty()) return drain();
+          if (sched_->queues_.all_empty()) return std::nullopt;
           continue;
         }
-        local.scratch.clear();
-        switch (sched_->queues_.try_pop_batch(target, local.scratch, want)) {
-          case LockedQueueArray::PopStatus::kOk: {
-            Task first = local.scratch.front();
-            local.delete_buffer.assign(local.scratch.begin() + 1,
-                                       local.scratch.end());
-            return first;
-          }
+        local.delete_buffer.clear();
+        local.delete_next = 0;
+        switch (sched_->queues_.try_pop_batch(target, local.delete_buffer,
+                                              want)) {
+          case LockedQueueArray::PopStatus::kOk:
+            return local.delete_buffer[local.delete_next++];
           case LockedQueueArray::PopStatus::kEmpty:
             local.delete_queue = kNone;
             continue;
@@ -169,9 +181,8 @@ class OptimizedMultiQueue {
       Local& local = *me_;
       std::size_t taken = 0;
       while (taken < max) {
-        while (taken < max && !local.delete_buffer.empty()) {
-          out.push_back(local.delete_buffer.front());
-          local.delete_buffer.pop_front();
+        while (taken < max && local.delete_next < local.delete_buffer.size()) {
+          out.push_back(local.delete_buffer[local.delete_next++]);
           ++taken;
         }
         if (taken >= max) break;
@@ -206,16 +217,19 @@ class OptimizedMultiQueue {
     }
 
     void flush_inserts() {
-      Local& local = *me_;
+      push_to_random_queue(me_->insert_buffer.data(),
+                           me_->insert_buffer.size());
+      me_->insert_buffer.clear();
+    }
+
+    /// Add `count` tasks under one lock of a random queue, re-sampling
+    /// the queue whenever its lock is taken.
+    void push_to_random_queue(const Task* tasks, std::size_t count) {
       while (true) {
-        const std::size_t target = sched_->sampler_.sample(tid_, local.rng);
+        const std::size_t target = sched_->sampler_.sample(tid_, me_->rng);
         record_touch(target);
-        if (sched_->queues_.try_push_batch(target, local.insert_buffer.data(),
-                                           local.insert_buffer.size())) {
-          break;
-        }
+        if (sched_->queues_.try_push_batch(target, tasks, count)) return;
       }
-      local.insert_buffer.clear();
     }
 
     /// Pick the queue to delete from, honouring the delete policy.
@@ -231,7 +245,8 @@ class OptimizedMultiQueue {
       }
       const std::size_t i1 = sched_->sampler_.sample(tid_, local.rng);
       std::size_t i2 = sched_->sampler_.sample(tid_, local.rng);
-      // Bounded distinct-pair resampling (see ClassicMultiQueue).
+      // Bounded distinct-pair resampling: a weighted sampler over a
+      // near-singleton group could echo i1 indefinitely.
       for (int retry = 0; i2 == i1 && retry < 8; ++retry) {
         i2 = sched_->sampler_.sample(tid_, local.rng);
       }
@@ -263,8 +278,10 @@ class OptimizedMultiQueue {
   struct Local {
     Xoshiro256 rng;
     std::vector<Task> insert_buffer;
-    std::deque<Task> delete_buffer;
-    std::vector<Task> scratch;
+    // The last batch popped from a queue; delete_next is the first task
+    // not yet handed out.
+    std::vector<Task> delete_buffer;
+    std::size_t delete_next = 0;
     std::size_t insert_queue = kNone;  // temporal-locality memory
     std::size_t delete_queue = kNone;
     // NUMA attribution: queue touches routed through the sampler (one

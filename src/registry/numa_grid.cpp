@@ -88,10 +88,11 @@ std::vector<std::string> parse_numa_grid(std::string_view spec) {
   return grid;
 }
 
-double expected_internal_fraction(const NumaOptions& numa, unsigned threads) {
+double expected_internal_fraction(const NumaOptions& numa, unsigned threads,
+                                  bool exclude_own_queue) {
   if (numa.nodes <= 1 || threads == 0) return 1.0;
   return Topology(threads, numa.nodes)
-      .expected_internal_fraction(std::max(numa.k, 1.0));
+      .expected_internal_fraction(std::max(numa.k, 1.0), exclude_own_queue);
 }
 
 }  // namespace smq

@@ -32,6 +32,9 @@ std::vector<std::string> parse_numa_grid(std::string_view spec);
 
 /// The analytic expected internal (same-node) fraction E of `numa` at
 /// `threads` threads — Section 4's metric, 1.0 without a topology.
-double expected_internal_fraction(const NumaOptions& numa, unsigned threads);
+/// `exclude_own_queue` as in Topology::expected_internal_fraction (true
+/// for SMQ's steal victims).
+double expected_internal_fraction(const NumaOptions& numa, unsigned threads,
+                                  bool exclude_own_queue);
 
 }  // namespace smq

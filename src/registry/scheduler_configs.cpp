@@ -64,18 +64,6 @@ SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
   return cfg;
 }
 
-ClassicMqConfig make_classic_mq_config(unsigned threads, const ParamMap& params,
-                                       std::shared_ptr<Topology>& topology) {
-  const NumaOptions numa = parse_numa(params, threads, 8.0);
-  topology = make_topology(numa, threads);
-  ClassicMqConfig cfg;
-  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 4));
-  cfg.seed = params.get_uint("seed", 1);
-  cfg.topology = topology.get();
-  cfg.numa_weight_k = numa.k;
-  return cfg;
-}
-
 OptimizedMqConfig make_optimized_mq_config(unsigned threads,
                                            const ParamMap& params,
                                            std::shared_ptr<Topology>& topology) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
@@ -45,8 +44,6 @@ const std::vector<Tunable>& numa_tunables();
 // its returned config points into.
 SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
                           std::shared_ptr<Topology>& topology);
-ClassicMqConfig make_classic_mq_config(unsigned threads, const ParamMap& params,
-                                       std::shared_ptr<Topology>& topology);
 OptimizedMqConfig make_optimized_mq_config(unsigned threads,
                                            const ParamMap& params,
                                            std::shared_ptr<Topology>& topology);

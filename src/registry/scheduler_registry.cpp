@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
@@ -86,11 +85,13 @@ void add_preset(SchedulerRegistry& reg, std::string name,
   reg.add(std::move(entry));
 }
 
-template <typename LocalPQ>
-AnyScheduler make_smq(unsigned threads, const ParamMap& params) {
+/// The factory of a family whose config builder may attach a simulated
+/// NUMA topology: the erased scheduler keeps the topology alive, since
+/// the config holds a raw pointer into it.
+template <typename S, auto MakeConfig>
+AnyScheduler make_with_topology(unsigned threads, const ParamMap& params) {
   std::shared_ptr<Topology> topo;
-  const SmqConfig cfg = make_smq_config(threads, params, topo);
-  auto any = AnyScheduler::make<StealingMultiQueue<LocalPQ>>(threads, cfg);
+  auto any = AnyScheduler::make<S>(threads, MakeConfig(threads, params, topo));
   if (topo) any.attach(std::move(topo));
   return any;
 }
@@ -111,7 +112,8 @@ void register_builtins(SchedulerRegistry& reg) {
       .description = "Stealing Multi-Queue, d-ary heap local queues "
                      "(the paper's contribution)",
       .tunables = smq_tunables(),
-      .make = make_smq<DAryHeap<Task, 4>>,
+      .make = make_with_topology<StealingMultiQueue<DAryHeap<Task, 4>>,
+                                make_smq_config>,
   });
 
   reg.add({
@@ -119,30 +121,9 @@ void register_builtins(SchedulerRegistry& reg) {
       .description = "Stealing Multi-Queue with skip-list local queues "
                      "(Appendix D)",
       .tunables = smq_tunables(),
-      .make = make_smq<SequentialSkipList>,
+      .make = make_with_topology<StealingMultiQueue<SequentialSkipList>,
+                                make_smq_config>,
   });
-
-  {
-    std::vector<Tunable> t = {
-        {"c", "4", "queues per thread (m = C*T)"},
-        {"seed", "1", "RNG seed"},
-    };
-    append(t, numa_tunables());
-    reg.add({
-        .name = "mq",
-        .description = "classic Multi-Queue (Rihani et al.; paper Listing 1)",
-        .tunables = std::move(t),
-        .make =
-            [](unsigned threads, const ParamMap& params) {
-              std::shared_ptr<Topology> topo;
-              const ClassicMqConfig cfg =
-                  make_classic_mq_config(threads, params, topo);
-              auto any = AnyScheduler::make<ClassicMultiQueue>(threads, cfg);
-              if (topo) any.attach(std::move(topo));
-              return any;
-            },
-    });
-  }
 
   {
     std::vector<Tunable> t = {
@@ -161,17 +142,22 @@ void register_builtins(SchedulerRegistry& reg) {
         .description = "optimized Multi-Queue: task batching / temporal "
                        "locality (Section 2.1, Appendix C)",
         .tunables = std::move(t),
-        .make =
-            [](unsigned threads, const ParamMap& params) {
-              std::shared_ptr<Topology> topo;
-              const OptimizedMqConfig cfg =
-                  make_optimized_mq_config(threads, params, topo);
-              auto any = AnyScheduler::make<OptimizedMultiQueue>(threads, cfg);
-              if (topo) any.attach(std::move(topo));
-              return any;
-            },
+        .make = make_with_topology<OptimizedMultiQueue,
+                                   make_optimized_mq_config>,
     });
   }
+
+  // The classic Multi-Queue is mq-opt with batches of 1 and a fresh
+  // queue choice before every operation; pinning every optimization knob
+  // leaves c, seed and the NUMA options as its tunables.
+  const ParamMap classic_mq = params_of({{"insert-policy", "batch"},
+                                         {"delete-policy", "batch"},
+                                         {"insert-batch", "1"},
+                                         {"delete-batch", "1"},
+                                         {"p-insert", "1"},
+                                         {"p-delete", "1"}});
+  add_preset(reg, "mq", "classic Multi-Queue (Rihani et al.; paper Listing 1)",
+             "mq-opt", classic_mq);
 
   {
     std::vector<Tunable> t = {
@@ -183,14 +169,7 @@ void register_builtins(SchedulerRegistry& reg) {
         .name = "obim",
         .description = "Ordered By Integer Metric (Galois; Nguyen et al.)",
         .tunables = t,
-        .make =
-            [](unsigned threads, const ParamMap& params) {
-              std::shared_ptr<Topology> topo;
-              const ObimConfig cfg = make_obim_config(threads, params, topo);
-              auto any = AnyScheduler::make<Obim>(threads, cfg);
-              if (topo) any.attach(std::move(topo));
-              return any;
-            },
+        .make = make_with_topology<Obim, make_obim_config>,
     });
 
     t.push_back({"adapt-interval", "64", "chunk-pops between delta checks"});
@@ -200,14 +179,7 @@ void register_builtins(SchedulerRegistry& reg) {
         .name = "pmod",
         .description = "OBIM with runtime delta adaptation (Yesil et al.)",
         .tunables = std::move(t),
-        .make =
-            [](unsigned threads, const ParamMap& params) {
-              std::shared_ptr<Topology> topo;
-              const ObimConfig cfg = make_pmod_config(threads, params, topo);
-              auto any = AnyScheduler::make<Pmod>(threads, cfg);
-              if (topo) any.attach(std::move(topo));
-              return any;
-            },
+        .make = make_with_topology<Pmod, make_pmod_config>,
     });
   }
 
@@ -238,14 +210,7 @@ void register_builtins(SchedulerRegistry& reg) {
         .name = "reld",
         .description = "Random Enqueue, Local Dequeue (Jeffrey et al.)",
         .tunables = std::move(t),
-        .make =
-            [](unsigned threads, const ParamMap& params) {
-              std::shared_ptr<Topology> topo;
-              const ReldConfig cfg = make_reld_config(threads, params, topo);
-              auto any = AnyScheduler::make<ReldQueue>(threads, cfg);
-              if (topo) any.attach(std::move(topo));
-              return any;
-            },
+        .make = make_with_topology<ReldQueue, make_reld_config>,
     });
   }
 
@@ -315,9 +280,11 @@ void register_builtins(SchedulerRegistry& reg) {
 
   // mq-c<C>: the classic-MQ queue-multiplier sweep (Tables 2-3).
   for (const unsigned c : {1u, 2u, 4u, 8u, 16u}) {
+    ParamMap pinned = classic_mq;
+    pinned.set("c", std::to_string(c));
     add_preset(reg, "mq-c" + std::to_string(c),
-               "preset: classic MQ with C = " + std::to_string(c),
-               "mq", params_of({{"c", std::to_string(c)}}));
+               "preset: classic MQ with C = " + std::to_string(c), "mq-opt",
+               std::move(pinned));
   }
 
   // smq-p<D> / smq-sl-p<D>: the SMQ ablation pair (Figure 1 and
@@ -337,19 +304,12 @@ void register_builtins(SchedulerRegistry& reg) {
   }
 
   // The MQ-Optimized ablation stack (Figures 7-16): which optimization
-  // family is on. `none` degenerates to the classic MQ (buffers of 1);
-  // `buf` is task batching on both sides (buffer-size sub-sweep via
+  // family is on (the classic MQ, with none, is `mq`). `buf` is task
+  // batching on both sides (buffer-size sub-sweep via
   // insert-batch/delete-batch); `stick` is temporal locality on both
   // sides (stickiness sub-sweep via p-insert/p-delete); `full` combines
   // the families at the paper's representative settings — insertion
   // batching plus deletion temporal locality.
-  add_preset(reg, "mq-opt-none",
-             "preset: mq-opt with every optimization off (classic MQ)",
-             "mq-opt",
-             params_of({{"insert-policy", "batch"},
-                        {"delete-policy", "batch"},
-                        {"insert-batch", "1"},
-                        {"delete-batch", "1"}}));
   add_preset(reg, "mq-opt-buf",
              "preset: mq-opt, task batching on insert and delete", "mq-opt",
              params_of({{"insert-policy", "batch"}, {"delete-policy", "batch"}}),

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/skiplist.h"
@@ -53,9 +52,9 @@ struct StaticEntry {
 // The hot config families of the paper's evaluation; the long tail of
 // anchor schedulers stays virtual-only (they are baselines, not the
 // product). Presets resolve to their family's row with their pinned
-// params applied, so every obim-d*/mq-c*/smq-p*/mq-opt-* key is
+// params applied, so every obim-d*/mq/mq-c*/smq-p*/mq-opt-* key is
 // static-dispatchable too.
-constexpr std::array<StaticEntry, 6> kStaticTable{{
+constexpr std::array<StaticEntry, 5> kStaticTable{{
     {"smq",
      [](std::string_view algo, const GraphInstance& g, unsigned threads,
         const ParamMap& params, const AlgoReference* ref) {
@@ -67,12 +66,6 @@ constexpr std::array<StaticEntry, 6> kStaticTable{{
         const ParamMap& params, const AlgoReference* ref) {
        return run_concrete<StealingMultiQueue<SequentialSkipList>>(
            make_smq_config, algo, g, threads, params, ref);
-     }},
-    {"mq",
-     [](std::string_view algo, const GraphInstance& g, unsigned threads,
-        const ParamMap& params, const AlgoReference* ref) {
-       return run_concrete<ClassicMultiQueue>(make_classic_mq_config, algo, g,
-                                              threads, params, ref);
      }},
     {"mq-opt",
      [](std::string_view algo, const GraphInstance& g, unsigned threads,
@@ -125,15 +118,6 @@ ResolvedStatic resolve_static(std::string_view scheduler,
 
 bool has_static_dispatch(std::string_view scheduler) {
   return resolve_static(scheduler, {}).entry != nullptr;
-}
-
-std::vector<std::string> static_dispatch_keys() {
-  std::vector<std::string> keys;
-  keys.reserve(kStaticTable.size());
-  for (const StaticEntry& entry : kStaticTable) {
-    keys.emplace_back(entry.scheduler);
-  }
-  return keys;
 }
 
 std::optional<AlgoResult> run_static_dispatch(std::string_view scheduler,

@@ -4,16 +4,16 @@
 // call (one task, or one batch of --batch-size tasks). For publishing
 // absolute numbers the run driver also has a path with *zero* erasure
 // overhead: run_static_dispatch() maps the hot registry keys (smq,
-// smq-skiplist, mq, mq-opt, obim, pmod) to directly instantiated runs —
-// the same templated runners (algo_runners.h), the same config parsing
-// (scheduler_configs.h), but monomorphized end to end exactly like the
-// seed's hand-written benches. Selected via `smq_run --dispatch static`.
+// smq-skiplist, mq-opt, obim, pmod, and their presets such as mq) to
+// directly instantiated runs — the same templated runners
+// (algo_runners.h), the same config parsing (scheduler_configs.h), but
+// monomorphized end to end exactly like the seed's hand-written benches.
+// Selected via `smq_run --dispatch static`.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
@@ -25,10 +25,6 @@ namespace smq {
 /// entry — directly, or through its preset family (an obim-d4 run
 /// dispatches to the obim row with delta-shift pinned).
 bool has_static_dispatch(std::string_view scheduler);
-
-/// The config-family keys with static entries, in table order (presets
-/// resolving to these families are static-dispatchable too).
-std::vector<std::string> static_dispatch_keys();
 
 /// Run `algorithm` under a directly instantiated `scheduler`, validating
 /// against `ref` when non-null. Returns nullopt when the scheduler has no

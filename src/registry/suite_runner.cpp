@@ -54,6 +54,17 @@ std::optional<NumaOptions> pinned_numa(const SweepRow& row) {
   return parse_numa(row.row_params, row.threads, /*default_k=*/1.0);
 }
 
+/// Whether `scheduler` samples SMQ steal victims, drawn among the other
+/// threads, rather than MQ queues, drawn among all, the chooser's own
+/// included; the two give different analytic internal fractions E.
+bool samples_steal_victims(std::string_view scheduler) {
+  const SchedulerEntry* entry = SchedulerRegistry::instance().find(scheduler);
+  if (entry == nullptr) return false;
+  const std::string& family =
+      entry->family.empty() ? entry->name : entry->family;
+  return family == "smq" || family == "smq-skiplist";
+}
+
 /// The table's numa cell: "nodes/K" for a pinned point (nodes alone
 /// when K is the scheduler's default, "-" = UMA), else the CLI `numa`.
 std::string numa_cell(const SweepRow& row, const ParamMap& params) {
@@ -162,7 +173,9 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
       if (numa->k_pinned) {
         json.member("numa_k", numa->k);
         json.member("internal_frac_expected",
-                    expected_internal_fraction(*numa, row.threads));
+                    expected_internal_fraction(
+                        *numa, row.threads,
+                        samples_steal_victims(row.scheduler)));
       }
     }
     json.member("seconds", row.result.run.seconds);

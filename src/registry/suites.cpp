@@ -90,8 +90,7 @@ std::vector<SuiteDef> build_suites() {
     d.figure = "Figures 15-16";
     d.description = "MQ optimization combos head-to-head";
     d.threads = {4};
-    d.runs.push_back(mq_baseline());
-    d.runs.push_back(run_of("mq-opt-none"));
+    d.runs.push_back(mq_baseline());  // the combo with no optimization
     d.runs.push_back(run_of("mq-opt-stick", {}, "mq-opt-stick (TL/TL)"));
     d.runs.push_back(run_of("mq-opt-buf", {}, "mq-opt-buf (B/B)"));
     d.runs.push_back(run_of("mq-opt-full", {}, "mq-opt-full (B/TL)"));

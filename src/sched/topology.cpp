@@ -32,16 +32,20 @@ Topology::Topology(unsigned num_threads, unsigned num_nodes)
   }
 }
 
-double Topology::expected_internal_fraction(double k_weight) const noexcept {
+double Topology::expected_internal_fraction(double k_weight,
+                                            bool exclude_own_queue) const
+    noexcept {
   if (num_threads_ == 0) return 0.0;
-  // E = sum_i (T_i / T) * (T_i * C) / W_i with W_i = T_i*C + sum_{j!=i} T_j*C/K.
-  // The queue multiplier C cancels.
+  // E = sum_i (T_i / T) * L_i / W_i with W_i = L_i + sum_{j!=i} T_j*C/K and
+  // L_i = T_i*C local candidates (T_i - 1 with C = 1 when the chooser's
+  // own queue is excluded). Otherwise the queue multiplier C cancels.
   double total = 0;
   for (unsigned node = 0; node < num_nodes_; ++node) {
     const double ti = static_cast<double>(node_threads_[node].size());
+    const double local = exclude_own_queue ? ti - 1 : ti;
     const double remote = static_cast<double>(num_threads_) - ti;
-    const double wi = ti + remote / k_weight;
-    if (wi > 0) total += (ti / num_threads_) * (ti / wi);
+    const double wi = local + remote / k_weight;
+    if (wi > 0) total += (ti / num_threads_) * (local / wi);
   }
   return total;
 }

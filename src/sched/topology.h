@@ -40,7 +40,12 @@ class Topology {
   /// Expected fraction of queue choices that stay on the chooser's node
   /// when remote queues get weight 1/K — the paper's "NUMA-friendliness"
   /// metric E (Section 4). Assumes queues are distributed like threads.
-  double expected_internal_fraction(double k_weight) const noexcept;
+  /// `exclude_own_queue` is SMQ's steal-victim choice: one queue per
+  /// thread, drawn among the other T - 1 threads, so a node of T_i
+  /// threads offers T_i - 1 local candidates.
+  double expected_internal_fraction(double k_weight,
+                                    bool exclude_own_queue = false) const
+      noexcept;
 
  private:
   unsigned num_threads_;

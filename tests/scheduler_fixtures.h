@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
@@ -34,9 +33,10 @@ struct SmqSkipListFactory {
   }
 };
 
+/// The classic MQ (paper Listing 1): the Multi-Queue's default config.
 struct ClassicMqFactory {
   static constexpr const char* kName = "ClassicMq";
-  using Type = ClassicMultiQueue;
+  using Type = OptimizedMultiQueue;
   static Type make(unsigned threads) {
     return Type(threads, {.queue_multiplier = 4, .seed = 19});
   }

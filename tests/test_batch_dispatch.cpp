@@ -83,7 +83,9 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
   ASSERT_NE(algo, nullptr);
   const AlgoReference ref = algo->make_reference(graph, params);
 
-  for (const std::string& name : static_dispatch_keys()) {
+  // The static families plus mq, the classic MQ preset over mq-opt.
+  for (const char* name :
+       {"smq", "smq-skiplist", "mq", "mq-opt", "obim", "pmod"}) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     ASSERT_NE(entry, nullptr) << name;
     const unsigned threads = effective_threads(*entry, 4);

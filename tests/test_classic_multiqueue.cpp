@@ -1,10 +1,10 @@
-// Tests for the classic Multi-Queue (paper Listing 1).
-#include "queues/classic_multiqueue.h"
+// Tests for the classic Multi-Queue (paper Listing 1): OptimizedMultiQueue
+// at its default config, which is batch 1 on both sides.
+#include "queues/mq_variants.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -15,16 +15,26 @@
 namespace smq {
 namespace {
 
-TEST(ClassicMultiQueue, QueueCountIsCTimesThreads) {
-  ClassicMultiQueue mq(4, {.queue_multiplier = 3});
+TEST(ClassicMq, DefaultConfigIsBatchOneOnBothSides) {
+  const OptimizedMqConfig cfg;
+  EXPECT_EQ(cfg.insert_policy, InsertPolicy::kBatching);
+  EXPECT_EQ(cfg.delete_policy, DeletePolicy::kBatching);
+  EXPECT_EQ(cfg.insert_batch, 1u);
+  EXPECT_EQ(cfg.delete_batch, 1u);
+  EXPECT_EQ(cfg.queue_multiplier, 4u);
+}
+
+TEST(ClassicMq, QueueCountIsCTimesThreads) {
+  OptimizedMultiQueue mq(4, {.queue_multiplier = 3});
   EXPECT_EQ(mq.num_queues(), 12u);
   EXPECT_EQ(mq.num_threads(), 4u);
 }
 
-TEST(ClassicMultiQueue, SingleThreadRoundTrip) {
-  ClassicMultiQueue mq(1, {.queue_multiplier = 4});
+TEST(ClassicMq, SingleThreadRoundTrip) {
+  OptimizedMultiQueue mq(1, {.queue_multiplier = 4});
   auto h0 = mq.handle(0);
   for (std::uint64_t p = 0; p < 50; ++p) h0.push(Task{p, p});
+  // Inserts publish immediately: nothing waits in a local buffer.
   EXPECT_EQ(mq.approx_size(), 50u);
   std::vector<std::uint64_t> got;
   while (auto t = h0.try_pop()) got.push_back(t->priority);
@@ -33,12 +43,12 @@ TEST(ClassicMultiQueue, SingleThreadRoundTrip) {
   for (std::uint64_t p = 0; p < 50; ++p) EXPECT_EQ(got[p], p);
 }
 
-TEST(ClassicMultiQueue, TwoChoiceKeepsRankModerate) {
+TEST(ClassicMq, TwoChoiceKeepsRankModerate) {
   // The structural property behind the O(m) expected rank: pops are not
   // exact, but the average rank error stays near the number of queues,
   // far below random single-choice.
   const unsigned kThreads = 4;
-  ClassicMultiQueue mq(kThreads, {.queue_multiplier = 2, .seed = 3});
+  OptimizedMultiQueue mq(kThreads, {.queue_multiplier = 2, .seed = 3});
   auto h0 = mq.handle(0);
   const std::uint64_t kTasks = 20000;
   for (std::uint64_t p = 0; p < kTasks; ++p) h0.push(Task{p, p});
@@ -56,10 +66,10 @@ TEST(ClassicMultiQueue, TwoChoiceKeepsRankModerate) {
   EXPECT_LT(mean_error, 64.0);
 }
 
-TEST(ClassicMultiQueue, ConcurrentNoLossNoDuplication) {
+TEST(ClassicMq, ConcurrentNoLossNoDuplication) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerThread = 10000;
-  ClassicMultiQueue mq(kThreads, {.queue_multiplier = 4, .seed = 5});
+  OptimizedMultiQueue mq(kThreads, {.queue_multiplier = 4, .seed = 5});
   auto h0 = mq.handle(0);
 
   std::mutex merge_mutex;
@@ -90,13 +100,13 @@ TEST(ClassicMultiQueue, ConcurrentNoLossNoDuplication) {
   }
 }
 
-TEST(ClassicMultiQueue, NumaWeightedSamplingStillCorrect) {
+TEST(ClassicMq, NumaWeightedSamplingStillCorrect) {
   const unsigned kThreads = 4;
   Topology topo(kThreads, 2);
-  ClassicMultiQueue mq(kThreads, {.queue_multiplier = 2,
-                                  .seed = 7,
-                                  .topology = &topo,
-                                  .numa_weight_k = 16.0});
+  OptimizedMultiQueue mq(kThreads, {.queue_multiplier = 2,
+                                    .seed = 7,
+                                    .topology = &topo,
+                                    .numa_weight_k = 16.0});
   for (std::uint64_t p = 0; p < 1000; ++p) {
     mq.handle(p % kThreads).push(Task{p, p});
   }
@@ -108,8 +118,8 @@ TEST(ClassicMultiQueue, NumaWeightedSamplingStillCorrect) {
   EXPECT_EQ(seen.size(), 1000u);
 }
 
-TEST(ClassicMultiQueue, EmptyPopReturnsNullopt) {
-  ClassicMultiQueue mq(2, {});
+TEST(ClassicMq, EmptyPopReturnsNullopt) {
+  OptimizedMultiQueue mq(2);
   auto h0 = mq.handle(0);
   auto h1 = mq.handle(1);
   EXPECT_FALSE(h0.try_pop().has_value());

@@ -7,7 +7,6 @@
 #include <atomic>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/sequential_scheduler.h"
 
@@ -15,7 +14,6 @@ namespace smq {
 namespace {
 
 static_assert(PriorityScheduler<SequentialScheduler>);
-static_assert(PriorityScheduler<ClassicMultiQueue>);
 static_assert(PriorityScheduler<OptimizedMultiQueue>);
 static_assert(PriorityScheduler<StealingMultiQueue<>>);
 

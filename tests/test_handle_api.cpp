@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
 #include "queues/obim.h"
 #include "queues/reld.h"
@@ -31,7 +30,6 @@ namespace {
 // Every scheduler family exposes a native handle ...
 static_assert(PriorityScheduler<StealingMultiQueue<>>);
 static_assert(PriorityScheduler<StealingMultiQueue<SequentialSkipList>>);
-static_assert(PriorityScheduler<ClassicMultiQueue>);
 static_assert(PriorityScheduler<OptimizedMultiQueue>);
 static_assert(PriorityScheduler<Obim>);
 static_assert(PriorityScheduler<Pmod>);

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/stealing_multiqueue.h"
-#include "queues/classic_multiqueue.h"
+#include "queues/mq_variants.h"
 #include "queues/reld.h"
 #include "queues/sequential_scheduler.h"
 #include "queues/spraylist.h"
@@ -25,7 +25,7 @@ TEST(LiveRank, ExactSchedulerHasRankZero) {
 }
 
 TEST(LiveRank, ClassicMqRankNearQueueCount) {
-  ClassicMultiQueue sched(4, {.queue_multiplier = 4, .seed = 3});
+  OptimizedMultiQueue sched(4, {.queue_multiplier = 4, .seed = 3});
   const LiveRankResult r = measure_live_rank(sched, kElements);
   EXPECT_EQ(r.pops, kElements);
   // m = 16 queues: expected rank O(m); generous constant.

@@ -1,4 +1,6 @@
-// Tests for the optimized Multi-Queue variants (Appendix C combos).
+// Tests for the optimized Multi-Queue variants (Appendix C combos). The
+// default config, the classic MQ of paper Listing 1, is covered by
+// test_classic_multiqueue.cpp.
 #include "queues/mq_variants.h"
 
 #include <gtest/gtest.h>

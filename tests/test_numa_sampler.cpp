@@ -321,13 +321,22 @@ TEST(NumaGrid, PinnedPointDrivesTopologyRebuild) {
 TEST(NumaGrid, ExpectedInternalFractionFollowsTheParsedSpec) {
   // E = 1 without a topology; at 4 threads on 2 nodes, K=1 samples
   // uniformly (E = 1/2) and K=8 gives 2 / (2 + 2/8) = 8/9.
-  const auto e = [](const char* numa, unsigned threads) {
+  const auto e = [](const char* numa, unsigned threads,
+                    bool exclude_own_queue = false) {
     return expected_internal_fraction(
-        parse_numa(params_of({{"numa", numa}}), threads, 1.0), threads);
+        parse_numa(params_of({{"numa", numa}}), threads, 1.0), threads,
+        exclude_own_queue);
   };
   EXPECT_DOUBLE_EQ(e("nodes=1,k=1", 4), 1.0);
   EXPECT_DOUBLE_EQ(e("nodes=2,k=1", 4), 0.5);
   EXPECT_NEAR(e("nodes=2,k=8", 4), 8.0 / 9.0, 1e-12);
+  // SMQ draws a steal victim among the other threads: one local and two
+  // remote candidates per thread, so K=1 gives 1/3 and K=8 gives
+  // 1 / (1 + 2/8) = 4/5; at 2 threads every victim is remote.
+  EXPECT_DOUBLE_EQ(e("nodes=1,k=1", 4, true), 1.0);
+  EXPECT_NEAR(e("nodes=2,k=1", 4, true), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(e("nodes=2,k=8", 4, true), 4.0 / 5.0, 1e-12);
+  EXPECT_DOUBLE_EQ(e("nodes=2,k=8", 2, true), 0.0);
 }
 
 }  // namespace

@@ -10,11 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algorithms/sssp.h"
 #include "graph/binary_io.h"
 #include "core/stealing_multiqueue.h"
 #include "graph/generators.h"
+#include "queues/mq_variants.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 
@@ -128,6 +132,28 @@ TEST(SchedulerRegistry, NumaKDefaultsAndExplicitValues) {
   AnyScheduler uniform = SchedulerRegistry::instance().create("smq", 4, k_one);
   ASSERT_NE(uniform.get_if<Smq>(), nullptr);
   EXPECT_DOUBLE_EQ(uniform.get_if<Smq>()->config().numa_weight_k, 1.0);
+}
+
+/// The classic MQ is a preset over mq-opt: mq and mq-c<C> build the
+/// Multi-Queue's default config (paper Listing 1) at C queues per
+/// thread, and pinning every optimization knob leaves no inert tunable.
+TEST(SchedulerRegistry, ClassicMqIsTheDefaultMultiQueueConfig) {
+  for (const auto& [name, c] : {std::pair{"mq", 4u}, std::pair{"mq-c2", 2u}}) {
+    SCOPED_TRACE(name);
+    const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->family, "mq-opt");
+    AnyScheduler sched = SchedulerRegistry::instance().create(name, 4);
+    const auto* mq = sched.get_if<OptimizedMultiQueue>();
+    ASSERT_NE(mq, nullptr);
+    EXPECT_EQ(mq->config(), OptimizedMqConfig{.queue_multiplier = c});
+  }
+  std::vector<std::string> tunables;
+  for (const Tunable& t : SchedulerRegistry::instance().find("mq")->tunables) {
+    tunables.push_back(t.name);
+  }
+  EXPECT_EQ(tunables,
+            (std::vector<std::string>{"c", "seed", "numa", "numa-k"}));
 }
 
 TEST(SchedulerRegistry, TunablesAreDocumented) {

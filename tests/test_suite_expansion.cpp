@@ -166,15 +166,16 @@ TEST(SuiteExpansion, Fig7_14IsTheStickinessAndBufferDiagonal) {
 TEST(SuiteExpansion, Fig15_16IsTheOptimizationComboStack) {
   const SuiteDef* suite = find_suite("fig15_16");
   ASSERT_NE(suite, nullptr);
-  ASSERT_EQ(suite->runs.size(), 6u);
-  const std::vector<std::string> expected{"mq-c4",      "mq-opt-none",
-                                          "mq-opt-stick", "mq-opt-buf",
-                                          "mq-opt-full",  "mq-opt"};
+  ASSERT_EQ(suite->runs.size(), 5u);
+  // The mq-c4 baseline is the combo with no optimization.
+  const std::vector<std::string> expected{"mq-c4", "mq-opt-stick",
+                                          "mq-opt-buf", "mq-opt-full",
+                                          "mq-opt"};
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
   }
   // The explicit TL/B combo pins both policies on the base key.
-  const SuiteRun& tlb = suite->runs[5];
+  const SuiteRun& tlb = suite->runs[4];
   EXPECT_EQ(tlb.params.get("insert-policy"), "local");
   EXPECT_EQ(tlb.params.get("delete-policy"), "batch");
 }
@@ -354,21 +355,23 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   EXPECT_GT(std::stoull(text.substr(key + 20)), 0u) << text;
   EXPECT_NE(text.find("\"remote_frac\": "), std::string::npos);
   // The NUMA columns come from the run's own spec, as on a grid row:
-  // at 2 threads on 2 nodes, K=8 gives E = 1 / (1 + 1/8) = 8/9.
+  // at 2 threads on 2 nodes, SMQ's only steal victim is the other thread,
+  // on the other node, so E = 0 and every sampled access is remote.
   const std::string label = "smq/numa=nodes=2,k=8";
   EXPECT_EQ(row_number(text, label, "numa_nodes"), 2.0) << text;
   EXPECT_EQ(row_number(text, label, "numa_k"), 8.0) << text;
-  EXPECT_NEAR(row_number(text, label, "internal_frac_expected"), 8.0 / 9.0,
-              1e-9)
+  EXPECT_NEAR(row_number(text, label, "internal_frac_expected"), 0.0, 1e-9)
       << text;
+  EXPECT_EQ(row_number(text, label, "remote_frac"), 1.0) << text;
 
   // A CLI numa-k must not flatten the K axis: each run pins its own K.
   // At 4 threads each node holds two threads, so K shows in SMQ's
   // victim choice: the K=64 row stays on its node far more than K=1.
   SuiteDef k_axis = *table;
-  k_axis.runs = {table->runs[1], table->runs[7]};
+  k_axis.runs = {table->runs[1], table->runs[4], table->runs[7]};
   ASSERT_EQ(k_axis.runs[0].params.get("numa"), "nodes=2,k=1");
-  ASSERT_EQ(k_axis.runs[1].params.get("numa"), "nodes=2,k=64");
+  ASSERT_EQ(k_axis.runs[1].params.get("numa"), "nodes=2,k=8");
+  ASSERT_EQ(k_axis.runs[2].params.get("numa"), "nodes=2,k=64");
   opts.threads = {4};
   opts.cli_params.set("vertices", "4000");
   opts.cli_params.set("numa-k", "1");
@@ -383,6 +386,14 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   EXPECT_LT(weighted, uniform / 2) << k_text;
   EXPECT_EQ(row_number(k_text, "smq/numa=nodes=2,k=64", "numa_k"), 64.0)
       << k_text;
+  // The analytic E is what the victim sampler measures: 1 - E is the
+  // remote fraction of victims drawn among the other three threads.
+  for (const char* k : {"1", "8", "64"}) {
+    const std::string row = std::string("smq/numa=nodes=2,k=") + k;
+    const double expected = row_number(k_text, row, "internal_frac_expected");
+    const double remote = row_number(k_text, row, "remote_frac");
+    EXPECT_NEAR(remote, 1.0 - expected, 0.05) << row << "\n" << k_text;
+  }
 }
 
 /// CLI tunables flow into suite rows, but a run's own grid params win —
