@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
         OptimizedMultiQueue(threads, {.queue_multiplier = 8}));
   {
     OptimizedMqConfig cfg;
-    cfg.insert_policy = InsertPolicy::kBatching;
     cfg.insert_batch = 16;
-    cfg.delete_policy = DeletePolicy::kBatching;
     cfg.delete_batch = 16;
     probe("MQ batched 16/16", OptimizedMultiQueue(threads, cfg));
   }

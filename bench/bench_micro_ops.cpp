@@ -46,9 +46,7 @@ BENCHMARK(BM_ClassicMq);
 
 void BM_OptimizedMqBatching(benchmark::State& state) {
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kBatching;
   cfg.insert_batch = 16;
-  cfg.delete_policy = DeletePolicy::kBatching;
   cfg.delete_batch = 16;
   OptimizedMultiQueue sched(1, cfg);
   run_mixed_ops(state, sched);
@@ -57,8 +55,6 @@ BENCHMARK(BM_OptimizedMqBatching);
 
 void BM_OptimizedMqTemporalLocality(benchmark::State& state) {
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kTemporalLocality;
-  cfg.delete_policy = DeletePolicy::kTemporalLocality;
   cfg.p_insert_change = 1.0 / 16;
   cfg.p_delete_change = 1.0 / 16;
   OptimizedMultiQueue sched(1, cfg);

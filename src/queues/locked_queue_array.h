@@ -31,17 +31,8 @@ class LockedQueueArray {
     return queues_[i].value.top_priority.load(std::memory_order_acquire);
   }
 
-  /// Try to push one task into queue i; fails if the lock is contended.
-  bool try_push(std::size_t i, Task task) {
-    Queue& q = queues_[i].value;
-    if (!q.lock.try_lock()) return false;
-    q.heap.push(task);
-    publish(q, +1);
-    q.lock.unlock();
-    return true;
-  }
-
-  /// Try to push a batch with a single lock acquisition.
+  /// Try to push a batch with a single lock acquisition; fails if the
+  /// lock is contended.
   bool try_push_batch(std::size_t i, const Task* tasks, std::size_t count) {
     Queue& q = queues_[i].value;
     if (!q.lock.try_lock()) return false;

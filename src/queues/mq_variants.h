@@ -9,20 +9,26 @@
 // higher priority, restarting on lock failure. NUMA-weighted sampling
 // (Section 4) plugs in through QueueSampler.
 //
-// Two independent optimizations, each applicable to insert() and to
-// delete(), give the four combinations the appendix ablates:
+// The paper's two optimizations, task batching (Optimization 1) and
+// temporal locality (Optimization 2), are two numbers per side, as in
+// Williams, Sanders & Dementiev's "Engineering MultiQueues":
 //
-//  * Task batching (Optimization 1): inserts are buffered thread-locally
-//    and flushed to one random queue with a single lock acquisition once
-//    BATCH_insert tasks accumulate; deletes retrieve BATCH_delete tasks
-//    from the chosen queue at once into a thread-local buffer.
-//  * Temporal locality (Optimization 2): before each operation the thread
-//    flips a coin with probability p_change of re-sampling a queue, and
-//    otherwise keeps using the queue of its previous operation.
+//  * a batch size B: an insert buffers up to B_insert tasks thread-locally
+//    and flushes them under one lock; a delete takes up to B_delete tasks
+//    from its queue at once into a thread-local buffer;
+//  * a re-sample probability p: before each flush or locked delete the
+//    thread keeps the queue of its previous one (its sticky queue) and
+//    re-samples it with probability p. At p = 1 it re-samples without
+//    drawing a coin, so p = 1 is the classic random choice. A failed
+//    try-lock (and, on delete, an empty queue) always re-samples.
 //
-// The paper's sweeps use p in {1/1, 1/2, ..., 1/1024} and batch sizes in
-// {1, 2, ..., 1024}; batches of 1 (the default) or p = 1 reproduce the
-// classic MQ.
+// Written (B, p) insert / (B, p) delete, the registry keys are:
+//   mq, mq-c<C>   (1, 1)   / (1, 1)     the classic MQ
+//   mq-tl-p<D>    (1, 1/D) / (1, 1/D)   temporal locality on both sides
+//   mq-opt        (16, 1)  / (16, 1)    batching on both sides
+//   mq-opt-full   (16, 1)  / (1, 1/16)  insert batching, delete locality
+// and the paper's fourth combo, TL/B, is mq-opt at (1, 1/16) / (16, 1).
+// The paper sweeps p over {1/1, ..., 1/1024} and B over {1, ..., 1024}.
 //
 // Both optimizations are per-thread-state tricks (insert/delete buffers,
 // the sticky queue choice), which is exactly what the Handle hoists: it
@@ -45,20 +51,15 @@
 
 namespace smq {
 
-enum class InsertPolicy { kTemporalLocality, kBatching };
-enum class DeletePolicy { kTemporalLocality, kBatching };
-
-/// The defaults are the classic MQ (Listing 1): batches of 1 on both sides.
+/// The defaults are the classic MQ (Listing 1): (1, 1) on both sides.
 struct OptimizedMqConfig {
   unsigned queue_multiplier = 4;  // C: queues per thread
-  InsertPolicy insert_policy = InsertPolicy::kBatching;
-  DeletePolicy delete_policy = DeletePolicy::kBatching;
-  // Temporal locality: probability of changing queues before an op.
-  double p_insert_change = 1.0;
-  double p_delete_change = 1.0;
-  // Batching: local buffer capacities.
+  // Per side: the batch size B and the probability p of re-sampling the
+  // sticky queue before a locked operation.
   std::size_t insert_batch = 1;
+  double p_insert_change = 1.0;
   std::size_t delete_batch = 1;
+  double p_delete_change = 1.0;
   std::uint64_t seed = 1;
   const Topology* topology = nullptr;
   double numa_weight_k = 1.0;
@@ -99,48 +100,18 @@ class OptimizedMultiQueue {
         : sched_(&sched), me_(&sched.locals_[tid].value), tid_(tid) {}
 
     void push(Task task) {
-      Local& local = *me_;
-      const Config& cfg = sched_->cfg_;
-      if (cfg.insert_policy == InsertPolicy::kBatching) {
-        // A batch of 1 is the classic insert: no buffer round trip.
-        if (cfg.insert_batch <= 1) {
-          push_to_random_queue(&task, 1);
-          return;
-        }
-        local.insert_buffer.push_back(task);
-        if (local.insert_buffer.size() >= cfg.insert_batch) flush_inserts();
+      const std::size_t batch = sched_->cfg_.insert_batch;
+      // A batch of 1 skips the buffer round trip.
+      if (batch <= 1) {
+        push_locked(&task, 1);
         return;
       }
-      // Temporal locality: maybe keep the previous insert queue. A sticky
-      // reuse still touches the queue's node, so it still counts toward
-      // the NUMA attribution.
-      while (true) {
-        if (local.insert_queue == kNone ||
-            local.rng.next_bool(cfg.p_insert_change)) {
-          local.insert_queue = sched_->sampler_.sample(tid_, local.rng);
-        }
-        record_touch(local.insert_queue);
-        if (sched_->queues_.try_push(local.insert_queue, task)) return;
-        local.insert_queue = kNone;  // contended: re-sample next round
-      }
+      me_->insert_buffer.push_back(task);
+      if (me_->insert_buffer.size() >= batch) flush_inserts();
     }
 
-    /// Bulk insert. Under the batching insert policy the whole span lands
-    /// in the local buffer at once (flushing each time it fills); temporal
-    /// locality degrades to the per-task path, which already amortizes
-    /// sampling through the sticky queue choice.
     void push_batch(std::span<const Task> tasks) {
-      Local& local = *me_;
-      const Config& cfg = sched_->cfg_;
-      if (cfg.insert_policy != InsertPolicy::kBatching ||
-          cfg.insert_batch <= 1) {
-        for (const Task& task : tasks) push(task);
-        return;
-      }
-      for (const Task& task : tasks) {
-        local.insert_buffer.push_back(task);
-        if (local.insert_buffer.size() >= cfg.insert_batch) flush_inserts();
-      }
+      for (const Task& task : tasks) push(task);
     }
 
     std::optional<Task> try_pop() {
@@ -148,10 +119,7 @@ class OptimizedMultiQueue {
       if (local.delete_next < local.delete_buffer.size()) {
         return local.delete_buffer[local.delete_next++];
       }
-      const Config& cfg = sched_->cfg_;
-      const std::size_t want =
-          cfg.delete_policy == DeletePolicy::kBatching ? cfg.delete_batch : 1;
-
+      const std::size_t want = sched_->cfg_.delete_batch;
       for (int attempt = 0; attempt < 64; ++attempt) {
         const std::size_t target = choose_delete_queue();
         if (target == kNone) {
@@ -160,17 +128,12 @@ class OptimizedMultiQueue {
         }
         local.delete_buffer.clear();
         local.delete_next = 0;
-        switch (sched_->queues_.try_pop_batch(target, local.delete_buffer,
-                                              want)) {
-          case LockedQueueArray::PopStatus::kOk:
-            return local.delete_buffer[local.delete_next++];
-          case LockedQueueArray::PopStatus::kEmpty:
-            local.delete_queue = kNone;
-            continue;
-          case LockedQueueArray::PopStatus::kLockBusy:
-            local.delete_queue = kNone;
-            continue;
+        if (sched_->queues_.try_pop_batch(target, local.delete_buffer,
+                                          want) ==
+            LockedQueueArray::PopStatus::kOk) {
+          return local.delete_buffer[local.delete_next++];
         }
+        local.delete_queue = kNone;  // empty or contended: re-sample
       }
       return drain();
     }
@@ -217,29 +180,37 @@ class OptimizedMultiQueue {
     }
 
     void flush_inserts() {
-      push_to_random_queue(me_->insert_buffer.data(),
-                           me_->insert_buffer.size());
+      push_locked(me_->insert_buffer.data(), me_->insert_buffer.size());
       me_->insert_buffer.clear();
     }
 
-    /// Add `count` tasks under one lock of a random queue, re-sampling
-    /// the queue whenever its lock is taken.
-    void push_to_random_queue(const Task* tasks, std::size_t count) {
+    /// Add `count` tasks under one lock of the sticky insert queue,
+    /// re-sampled with probability p_insert_change and whenever its lock
+    /// is taken. A sticky reuse still touches the queue's node, so it
+    /// still counts toward the NUMA attribution.
+    void push_locked(const Task* tasks, std::size_t count) {
+      Local& local = *me_;
+      const double p = sched_->cfg_.p_insert_change;
       while (true) {
-        const std::size_t target = sched_->sampler_.sample(tid_, me_->rng);
-        record_touch(target);
-        if (sched_->queues_.try_push_batch(target, tasks, count)) return;
+        if (local.insert_queue == kNone || p >= 1.0 ||
+            local.rng.next_bool(p)) {
+          local.insert_queue = sched_->sampler_.sample(tid_, local.rng);
+        }
+        record_touch(local.insert_queue);
+        if (sched_->queues_.try_push_batch(local.insert_queue, tasks, count)) {
+          return;
+        }
+        local.insert_queue = kNone;  // contended: re-sample next round
       }
     }
 
-    /// Pick the queue to delete from, honouring the delete policy.
-    /// Returns kNone when both sampled queues look empty.
+    /// Pick the queue to delete from: the sticky queue, kept with
+    /// probability 1 - p_delete_change, or the better of two fresh
+    /// samples. Returns kNone when both sampled queues look empty.
     std::size_t choose_delete_queue() {
       Local& local = *me_;
-      const Config& cfg = sched_->cfg_;
-      if (cfg.delete_policy == DeletePolicy::kTemporalLocality &&
-          local.delete_queue != kNone &&
-          !local.rng.next_bool(cfg.p_delete_change)) {
+      const double p = sched_->cfg_.p_delete_change;
+      if (local.delete_queue != kNone && p < 1.0 && !local.rng.next_bool(p)) {
         record_touch(local.delete_queue);
         return local.delete_queue;  // stick with the previous queue
       }
@@ -282,7 +253,7 @@ class OptimizedMultiQueue {
     // not yet handed out.
     std::vector<Task> delete_buffer;
     std::size_t delete_next = 0;
-    std::size_t insert_queue = kNone;  // temporal-locality memory
+    std::size_t insert_queue = kNone;  // the sticky queues
     std::size_t delete_queue = kNone;
     // NUMA attribution: queue touches routed through the sampler (one
     // per flushed insert batch, not per task — a batch is one lock

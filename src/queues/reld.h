@@ -81,7 +81,7 @@ class ReldQueue {
           ++me_->numa.sampled;
           if (sched_->sampler_.is_remote(tid_, target)) ++me_->numa.remote;
         }
-        if (sched_->queues_.try_push(target, task)) return;
+        if (sched_->queues_.try_push_batch(target, &task, 1)) return;
       }
     }
 

@@ -71,18 +71,12 @@ OptimizedMqConfig make_optimized_mq_config(unsigned threads,
   topology = make_topology(numa, threads);
   OptimizedMqConfig cfg;
   cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 4));
-  cfg.insert_policy = params.get("insert-policy", "batch") == "local"
-                          ? InsertPolicy::kTemporalLocality
-                          : InsertPolicy::kBatching;
-  cfg.delete_policy = params.get("delete-policy", "batch") == "local"
-                          ? DeletePolicy::kTemporalLocality
-                          : DeletePolicy::kBatching;
-  cfg.p_insert_change = params.get_probability("p-insert", 1.0);
-  cfg.p_delete_change = params.get_probability("p-delete", 1.0);
   cfg.insert_batch =
       static_cast<std::size_t>(params.get_int("insert-batch", 16));
+  cfg.p_insert_change = params.get_probability("p-insert", 1.0);
   cfg.delete_batch =
       static_cast<std::size_t>(params.get_int("delete-batch", 16));
+  cfg.p_delete_change = params.get_probability("p-delete", 1.0);
   cfg.seed = params.get_uint("seed", 1);
   cfg.topology = topology.get();
   cfg.numa_weight_k = numa.k;

@@ -128,12 +128,10 @@ void register_builtins(SchedulerRegistry& reg) {
   {
     std::vector<Tunable> t = {
         {"c", "4", "queues per thread"},
-        {"insert-policy", "batch", "\"batch\" or \"local\" (temporal locality)"},
-        {"delete-policy", "batch", "\"batch\" or \"local\""},
-        {"insert-batch", "16", "insert buffer size (batch policy)"},
-        {"delete-batch", "16", "delete batch size (batch policy)"},
-        {"p-insert", "1", "probability of re-sampling the insert queue"},
-        {"p-delete", "1", "probability of re-sampling the delete queue"},
+        {"insert-batch", "16", "tasks buffered per locked insert (B)"},
+        {"p-insert", "1", "probability of re-sampling the insert queue (p)"},
+        {"delete-batch", "16", "tasks taken per locked delete (B)"},
+        {"p-delete", "1", "probability of re-sampling the delete queue (p)"},
         {"seed", "1", "RNG seed"},
     };
     append(t, numa_tunables());
@@ -147,14 +145,13 @@ void register_builtins(SchedulerRegistry& reg) {
     });
   }
 
-  // The classic Multi-Queue is mq-opt with batches of 1 and a fresh
-  // queue choice before every operation; pinning every optimization knob
-  // leaves c, seed and the NUMA options as its tunables.
-  const ParamMap classic_mq = params_of({{"insert-policy", "batch"},
-                                         {"delete-policy", "batch"},
-                                         {"insert-batch", "1"},
-                                         {"delete-batch", "1"},
+  // The classic Multi-Queue is mq-opt at (B, p) = (1, 1) on both sides:
+  // batches of 1 and a fresh queue choice before every operation. Pinning
+  // every optimization knob leaves c, seed and the NUMA options as its
+  // tunables.
+  const ParamMap classic_mq = params_of({{"insert-batch", "1"},
                                          {"p-insert", "1"},
+                                         {"delete-batch", "1"},
                                          {"p-delete", "1"}});
   add_preset(reg, "mq", "classic Multi-Queue (Rihani et al.; paper Listing 1)",
              "mq-opt", classic_mq);
@@ -163,8 +160,10 @@ void register_builtins(SchedulerRegistry& reg) {
     std::vector<Tunable> t = {
         {"chunk-size", "64", "tasks per chunk"},
         {"delta-shift", "10", "log2(delta): priority bits merged per level"},
+        // OBIM shards its bags per node but samples no queues, so it has
+        // no remote weight K: only the node count applies.
+        {"numa", "0", "virtual NUMA nodes (a node count, e.g. \"2\")"},
     };
-    append(t, numa_tunables());
     reg.add({
         .name = "obim",
         .description = "Ordered By Integer Metric (Galois; Nguyen et al.)",
@@ -247,16 +246,16 @@ void register_builtins(SchedulerRegistry& reg) {
   // tunables — that is what makes the key a preset; everything else
   // (c, seed, numa, steal-size, chunk-size, ...) still flows through.
 
-  // mq-tl-p<D>: optimized MQ, temporal locality on insert AND delete
-  // with p_change = 1/D (Figures 7-14's stickiness sweep; p = 1
-  // reproduces the classic MQ behaviour).
+  // mq-tl-p<D>: optimized MQ, temporal locality on insert AND delete,
+  // (B, p) = (1, 1/D) on both sides (Figures 7-14's stickiness sweep;
+  // mq-tl-p1 is the classic MQ).
   for (const int denom : {1, 4, 16, 64, 256, 1024}) {
     const std::string p = "1/" + std::to_string(denom);
     add_preset(reg, "mq-tl-p" + std::to_string(denom),
                "preset: mq-opt, temporal locality, p = " + p, "mq-opt",
-               params_of({{"insert-policy", "local"},
-                          {"delete-policy", "local"},
+               params_of({{"insert-batch", "1"},
                           {"p-insert", p},
+                          {"delete-batch", "1"},
                           {"p-delete", p}}));
   }
 
@@ -303,26 +302,12 @@ void register_builtins(SchedulerRegistry& reg) {
                params_of({{"p-steal", p}}));
   }
 
-  // The MQ-Optimized ablation stack (Figures 7-16): which optimization
-  // family is on (the classic MQ, with none, is `mq`). `buf` is task
-  // batching on both sides (buffer-size sub-sweep via
-  // insert-batch/delete-batch); `stick` is temporal locality on both
-  // sides (stickiness sub-sweep via p-insert/p-delete); `full` combines
-  // the families at the paper's representative settings — insertion
-  // batching plus deletion temporal locality.
-  add_preset(reg, "mq-opt-buf",
-             "preset: mq-opt, task batching on insert and delete", "mq-opt",
-             params_of({{"insert-policy", "batch"}, {"delete-policy", "batch"}}),
-             params_of({{"insert-batch", "16"}, {"delete-batch", "16"}}));
-  add_preset(reg, "mq-opt-stick",
-             "preset: mq-opt, temporal locality on insert and delete",
-             "mq-opt",
-             params_of({{"insert-policy", "local"}, {"delete-policy", "local"}}),
-             params_of({{"p-insert", "1/16"}, {"p-delete", "1/16"}}));
+  // mq-opt-full: the paper's representative full combo (Figures 15-16),
+  // insertion batching plus deletion temporal locality, (B, p) =
+  // (16, 1) / (1, 1/16). Batching on both sides is plain mq-opt.
   add_preset(reg, "mq-opt-full",
              "preset: mq-opt, insert batching + delete temporal locality",
-             "mq-opt",
-             params_of({{"insert-policy", "batch"}, {"delete-policy", "local"}}),
+             "mq-opt", params_of({{"p-insert", "1"}, {"delete-batch", "1"}}),
              params_of({{"insert-batch", "16"}, {"p-delete", "1/16"}}));
 }
 

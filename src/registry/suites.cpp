@@ -1,6 +1,6 @@
 #include "registry/suites.h"
 
-#include <tuple>
+#include <utility>
 
 namespace smq {
 
@@ -11,6 +11,18 @@ SuiteRun run_of(std::string scheduler,
                     kvs = {},
                 std::string label = "") {
   return {std::move(scheduler), params_of(kvs), std::move(label)};
+}
+
+/// An mq-opt row at (B, p) insert / (B, p) delete. All four knobs are
+/// row params, so no CLI tunable moves the row off its combo.
+ParamMap mq_opt_params(const std::string& insert_batch,
+                       const std::string& p_insert,
+                       const std::string& delete_batch,
+                       const std::string& p_delete) {
+  return params_of({{"insert-batch", insert_batch},
+                    {"p-insert", p_insert},
+                    {"delete-batch", delete_batch},
+                    {"p-delete", p_delete}});
 }
 
 /// The paper's per-thread-count baseline, first row of every speedup
@@ -62,8 +74,8 @@ std::vector<SuiteDef> build_suites() {
 
   // Figures 7-14 / Tables 4-11 (Appendix C): the classic-MQ optimization
   // sub-sweeps along the figures' diagonal — temporal-locality stickiness
-  // (p_insert = p_delete = 1/D via the mq-tl-p presets) and task-batching
-  // buffer size (insert = delete buffer via mq-opt-buf).
+  // (1, 1/D) on both sides via the mq-tl-p presets, and task-batching
+  // buffer size (B, 1) on both sides via mq-opt.
   {
     SuiteDef d;
     d.name = "fig7_14";
@@ -75,15 +87,16 @@ std::vector<SuiteDef> build_suites() {
       d.runs.push_back(run_of("mq-tl-p" + std::to_string(denom)));
     }
     for (const char* batch : {"1", "4", "16", "64", "256", "1024"}) {
-      d.runs.push_back(run_of(
-          "mq-opt-buf", {{"insert-batch", batch}, {"delete-batch", batch}},
-          std::string("mq-opt-buf/b=") + batch));
+      d.runs.push_back({"mq-opt", mq_opt_params(batch, "1", batch, "1"),
+                        std::string("mq-opt/b=") + batch});
     }
     defs.push_back(std::move(d));
   }
 
-  // Figures 15-16 (Appendix C.9): the optimization combos head-to-head
-  // at representative settings (p = 1/16, buffers of 16).
+  // Figures 15-16 (Appendix C.9): the four optimization combos
+  // head-to-head at representative settings (p = 1/16, buffers of 16).
+  // TL/TL is mq-tl-p16, B/B is mq-opt, B/TL is mq-opt-full, and TL/B is
+  // mq-opt at (1, 1/16) / (16, 1).
   {
     SuiteDef d;
     d.name = "fig15_16";
@@ -91,15 +104,11 @@ std::vector<SuiteDef> build_suites() {
     d.description = "MQ optimization combos head-to-head";
     d.threads = {4};
     d.runs.push_back(mq_baseline());  // the combo with no optimization
-    d.runs.push_back(run_of("mq-opt-stick", {}, "mq-opt-stick (TL/TL)"));
-    d.runs.push_back(run_of("mq-opt-buf", {}, "mq-opt-buf (B/B)"));
+    d.runs.push_back(run_of("mq-tl-p16", {}, "mq-tl-p16 (TL/TL)"));
+    d.runs.push_back(run_of("mq-opt", {}, "mq-opt (B/B)"));
     d.runs.push_back(run_of("mq-opt-full", {}, "mq-opt-full (B/TL)"));
-    d.runs.push_back(run_of("mq-opt",
-                            {{"insert-policy", "local"},
-                             {"p-insert", "1/16"},
-                             {"delete-policy", "batch"},
-                             {"delete-batch", "16"}},
-                            "mq-opt (TL/B)"));
+    d.runs.push_back(
+        {"mq-opt", mq_opt_params("1", "1/16", "16", "1"), "mq-opt (TL/B)"});
     defs.push_back(std::move(d));
   }
 
@@ -148,26 +157,21 @@ std::vector<SuiteDef> build_suites() {
     d.description = "NUMA weight K ablation: optimized MQ combos";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    // TL/TL is the mq-tl-p16 preset; the mixed combos pin both policies
-    // on the base mq-opt family at the same p = 1/16 and buffers of 16.
+    // TL/TL is the mq-tl-p16 preset; the other three combos spell their
+    // (B, p) per side on mq-opt at the same p = 1/16 and buffers of 16.
     for (const std::string& k : numa_ks) {
       d.runs.push_back(
           run_of("mq-tl-p16", {{"numa", "nodes=2,k=" + k}}, "TL/TL K=" + k));
     }
-    for (const auto& [label, insert, del] :
-         {std::tuple{"TL/B", "local", "batch"},
-          std::tuple{"B/TL", "batch", "local"},
-          std::tuple{"B/B", "batch", "batch"}}) {
+    for (const auto& [label, combo] :
+         {std::pair{"TL/B", mq_opt_params("1", "1/16", "16", "1")},
+          std::pair{"B/TL", mq_opt_params("16", "1", "1", "1/16")},
+          std::pair{"B/B", mq_opt_params("16", "1", "16", "1")}}) {
       for (const std::string& k : numa_ks) {
-        d.runs.push_back({"mq-opt",
-                          params_of({{"insert-policy", insert},
-                                     {"delete-policy", del},
-                                     {"p-insert", "1/16"},
-                                     {"p-delete", "1/16"},
-                                     {"insert-batch", "16"},
-                                     {"delete-batch", "16"},
-                                     {"numa", "nodes=2,k=" + k}}),
-                          std::string(label) + " K=" + k});
+        ParamMap params = combo;
+        params.set("numa", "nodes=2,k=" + k);
+        d.runs.push_back(
+            {"mq-opt", std::move(params), std::string(label) + " K=" + k});
       }
     }
     defs.push_back(std::move(d));

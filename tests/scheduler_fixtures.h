@@ -47,9 +47,7 @@ struct OptimizedMqFactory {
   using Type = OptimizedMultiQueue;
   static Type make(unsigned threads) {
     OptimizedMqConfig cfg;
-    cfg.insert_policy = InsertPolicy::kBatching;
     cfg.insert_batch = 4;
-    cfg.delete_policy = DeletePolicy::kBatching;
     cfg.delete_batch = 4;
     cfg.seed = 20;
     return Type(threads, cfg);

@@ -17,10 +17,10 @@ namespace {
 
 TEST(ClassicMq, DefaultConfigIsBatchOneOnBothSides) {
   const OptimizedMqConfig cfg;
-  EXPECT_EQ(cfg.insert_policy, InsertPolicy::kBatching);
-  EXPECT_EQ(cfg.delete_policy, DeletePolicy::kBatching);
   EXPECT_EQ(cfg.insert_batch, 1u);
+  EXPECT_DOUBLE_EQ(cfg.p_insert_change, 1.0);
   EXPECT_EQ(cfg.delete_batch, 1u);
+  EXPECT_DOUBLE_EQ(cfg.p_delete_change, 1.0);
   EXPECT_EQ(cfg.queue_multiplier, 4u);
 }
 

@@ -54,9 +54,7 @@ TEST(Executor, InsertBufferingSchedulerTerminates) {
   // With insert batching, tasks may sit in local buffers; termination
   // must flush them instead of hanging.
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kBatching;
   cfg.insert_batch = 64;  // large: guaranteed partially-filled buffers
-  cfg.delete_policy = DeletePolicy::kBatching;
   cfg.delete_batch = 4;
   OptimizedMultiQueue sched(2, cfg);
   std::vector<Task> seeds{Task{0, 0}};

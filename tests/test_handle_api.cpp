@@ -91,7 +91,6 @@ void expect_flush_publishes(S& sched, const char* name) {
 TEST(HandleApi, BufferedInsertsPublishThroughHandleFlush) {
   // mq-opt with a large insert batch buffers pushes thread-locally.
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kBatching;
   cfg.insert_batch = 64;
   cfg.seed = 9;
   OptimizedMultiQueue mq(2, cfg);
@@ -104,9 +103,7 @@ TEST(HandleApi, ExecutorTerminatesWithBufferedHandlesAtEveryBatchSize) {
   // run, in either loop.
   for (const std::size_t batch_size : {1ul, 5ul, 64ul}) {
     OptimizedMqConfig cfg;
-    cfg.insert_policy = InsertPolicy::kBatching;
     cfg.insert_batch = 64;  // guaranteed partially-filled buffers
-    cfg.delete_policy = DeletePolicy::kBatching;
     cfg.delete_batch = 4;
     OptimizedMultiQueue sched(2, cfg);
     std::vector<Task> seeds{Task{0, 0}};

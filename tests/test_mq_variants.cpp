@@ -13,9 +13,13 @@
 namespace smq {
 namespace {
 
+/// (B, p) insert / (B, p) delete. Temporal locality (TL) is (1, 1/4),
+/// task batching (B) is (8, 1).
 struct Combo {
-  InsertPolicy insert;
-  DeletePolicy del;
+  std::size_t insert_batch;
+  double p_insert;
+  std::size_t delete_batch;
+  double p_delete;
   const char* name;
 };
 
@@ -23,12 +27,10 @@ class MqVariantCombos : public ::testing::TestWithParam<Combo> {};
 
 OptimizedMqConfig combo_config(const Combo& combo) {
   OptimizedMqConfig cfg;
-  cfg.insert_policy = combo.insert;
-  cfg.delete_policy = combo.del;
-  cfg.p_insert_change = 0.25;
-  cfg.p_delete_change = 0.25;
-  cfg.insert_batch = 8;
-  cfg.delete_batch = 8;
+  cfg.insert_batch = combo.insert_batch;
+  cfg.p_insert_change = combo.p_insert;
+  cfg.delete_batch = combo.delete_batch;
+  cfg.p_delete_change = combo.p_delete;
   return cfg;
 }
 
@@ -83,21 +85,17 @@ TEST_P(MqVariantCombos, ConcurrentNoLossNoDuplication) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, MqVariantCombos,
     ::testing::Values(
-        Combo{InsertPolicy::kTemporalLocality, DeletePolicy::kTemporalLocality,
-              "tl_tl"},
-        Combo{InsertPolicy::kTemporalLocality, DeletePolicy::kBatching,
-              "tl_b"},
-        Combo{InsertPolicy::kBatching, DeletePolicy::kTemporalLocality,
-              "b_tl"},
-        Combo{InsertPolicy::kBatching, DeletePolicy::kBatching, "b_b"}),
+        // The paper's four combos.
+        Combo{1, 0.25, 1, 0.25, "tl_tl"}, Combo{1, 0.25, 8, 1.0, "tl_b"},
+        Combo{8, 1.0, 1, 0.25, "b_tl"}, Combo{8, 1.0, 8, 1.0, "b_b"},
+        // Both optimizations on the same side.
+        Combo{8, 0.25, 8, 0.25, "btl_btl"}),
     [](const ::testing::TestParamInfo<Combo>& info) {
       return info.param.name;
     });
 
 TEST(MqVariants, InsertBatchingDefersUntilFullOrFlush) {
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kBatching;
-  cfg.delete_policy = DeletePolicy::kBatching;
   cfg.insert_batch = 10;
   cfg.delete_batch = 1;
   OptimizedMultiQueue mq(1, cfg);
@@ -111,9 +109,7 @@ TEST(MqVariants, InsertBatchingDefersUntilFullOrFlush) {
 
 TEST(MqVariants, DeleteBatchingServesBufferedTasksInOrder) {
   OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kTemporalLocality;
   cfg.p_insert_change = 0.0;  // sticky: every task lands in one queue
-  cfg.delete_policy = DeletePolicy::kBatching;
   cfg.delete_batch = 4;
   OptimizedMultiQueue mq(1, cfg);
   auto h0 = mq.handle(0);
@@ -125,21 +121,25 @@ TEST(MqVariants, DeleteBatchingServesBufferedTasksInOrder) {
 }
 
 TEST(MqVariants, TemporalLocalityNeverChangesWithZeroProbability) {
-  OptimizedMqConfig cfg;
-  cfg.insert_policy = InsertPolicy::kTemporalLocality;
-  cfg.delete_policy = DeletePolicy::kTemporalLocality;
-  cfg.p_insert_change = 0.0;  // after the first sample, stick forever
-  cfg.p_delete_change = 0.0;
-  OptimizedMultiQueue mq(1, cfg);
-  auto h0 = mq.handle(0);
-  for (std::uint64_t p = 0; p < 20; ++p) h0.push(Task{p, p});
-  // All in one queue + sticky delete queue: exact priority order.
-  std::uint64_t count = 0;
-  while (auto t = h0.try_pop()) {
-    EXPECT_EQ(t->priority, count);
-    ++count;
+  // Single tasks and flushed batches of 4 alike stick to one queue.
+  for (const std::size_t batch : {1ul, 4ul}) {
+    SCOPED_TRACE(batch);
+    OptimizedMqConfig cfg;
+    cfg.insert_batch = batch;
+    cfg.p_insert_change = 0.0;  // after the first sample, stick forever
+    cfg.p_delete_change = 0.0;
+    OptimizedMultiQueue mq(1, cfg);
+    auto h0 = mq.handle(0);
+    for (std::uint64_t p = 0; p < 20; ++p) h0.push(Task{p, p});
+    h0.flush();
+    // All in one queue + sticky delete queue: exact priority order.
+    std::uint64_t count = 0;
+    while (auto t = h0.try_pop()) {
+      EXPECT_EQ(t->priority, count);
+      ++count;
+    }
+    EXPECT_EQ(count, 20u);
   }
-  EXPECT_EQ(count, 20u);
 }
 
 }  // namespace

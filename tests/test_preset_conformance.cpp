@@ -118,12 +118,12 @@ TEST(PresetConformance, PinnedKnobsWinOverCallerParams) {
   ParamMap conflicting;
   conflicting.set("p-insert", "1");
   conflicting.set("p-delete", "1");
-  conflicting.set("insert-policy", "batch");
+  conflicting.set("insert-batch", "16");
   AnyScheduler sched =
       SchedulerRegistry::instance().create("mq-tl-p16", 2, conflicting);
   auto* mq = sched.get_if<OptimizedMultiQueue>();
   ASSERT_NE(mq, nullptr);
-  EXPECT_EQ(mq->config().insert_policy, InsertPolicy::kTemporalLocality);
+  EXPECT_EQ(mq->config().insert_batch, 1u);
   EXPECT_DOUBLE_EQ(mq->config().p_insert_change, 1.0 / 16);
   EXPECT_DOUBLE_EQ(mq->config().p_delete_change, 1.0 / 16);
 }
@@ -131,14 +131,14 @@ TEST(PresetConformance, PinnedKnobsWinOverCallerParams) {
 /// Preset defaults only fill gaps; explicit caller params survive.
 TEST(PresetConformance, PresetDefaultsYieldToCallerParams) {
   ParamMap params;
-  params.set("p-insert", "1/4");
+  params.set("insert-batch", "8");
   AnyScheduler sched =
-      SchedulerRegistry::instance().create("mq-opt-stick", 2, params);
+      SchedulerRegistry::instance().create("mq-opt-full", 2, params);
   auto* mq = sched.get_if<OptimizedMultiQueue>();
   ASSERT_NE(mq, nullptr);
-  EXPECT_EQ(mq->config().insert_policy, InsertPolicy::kTemporalLocality);
-  EXPECT_EQ(mq->config().delete_policy, DeletePolicy::kTemporalLocality);
-  EXPECT_DOUBLE_EQ(mq->config().p_insert_change, 0.25);      // caller
+  EXPECT_DOUBLE_EQ(mq->config().p_insert_change, 1.0);       // pinned
+  EXPECT_EQ(mq->config().delete_batch, 1u);                  // pinned
+  EXPECT_EQ(mq->config().insert_batch, 8u);                  // caller
   EXPECT_DOUBLE_EQ(mq->config().p_delete_change, 1.0 / 16);  // default
 }
 
@@ -197,10 +197,10 @@ TEST(PresetConformance, StaticDispatchResolvesTheSameConfigAsVirtual) {
     }
     ++checked;
   }
-  // smq(+6 presets), smq-skiplist(+5), mq-opt(+15, mq and mq-c* among
-  // them), obim(+6), pmod(+6): the check must cover the whole
+  // smq(+6 presets), smq-skiplist(+5), mq-opt(+13: mq, mq-c*, mq-tl-p*
+  // and mq-opt-full), obim(+6), pmod(+6): the check must cover the whole
   // static-capable namespace.
-  EXPECT_GE(checked, 43u);
+  EXPECT_GE(checked, 41u);
 }
 
 /// Static dispatch must execute preset keys end to end (not merely

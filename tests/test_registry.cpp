@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -154,6 +155,76 @@ TEST(SchedulerRegistry, ClassicMqIsTheDefaultMultiQueueConfig) {
   }
   EXPECT_EQ(tunables,
             (std::vector<std::string>{"c", "seed", "numa", "numa-k"}));
+}
+
+/// Every mq-family key as (B, p) insert / (B, p) delete: the batch size
+/// and the probability of re-sampling the sticky queue per side.
+TEST(SchedulerRegistry, MqFamilyKeysHaveTheirGoldenBatchAndStickiness) {
+  struct Golden {
+    const char* key;
+    std::size_t insert_batch;
+    double p_insert;
+    std::size_t delete_batch;
+    double p_delete;
+  };
+  const Golden golden[] = {
+      {"mq", 1, 1.0, 1, 1.0},
+      {"mq-c1", 1, 1.0, 1, 1.0},
+      {"mq-c2", 1, 1.0, 1, 1.0},
+      {"mq-c4", 1, 1.0, 1, 1.0},
+      {"mq-c8", 1, 1.0, 1, 1.0},
+      {"mq-c16", 1, 1.0, 1, 1.0},
+      {"mq-tl-p1", 1, 1.0, 1, 1.0},
+      {"mq-tl-p4", 1, 1.0 / 4, 1, 1.0 / 4},
+      {"mq-tl-p16", 1, 1.0 / 16, 1, 1.0 / 16},
+      {"mq-tl-p64", 1, 1.0 / 64, 1, 1.0 / 64},
+      {"mq-tl-p256", 1, 1.0 / 256, 1, 1.0 / 256},
+      {"mq-tl-p1024", 1, 1.0 / 1024, 1, 1.0 / 1024},
+      {"mq-opt", 16, 1.0, 16, 1.0},
+      {"mq-opt-full", 16, 1.0, 1, 1.0 / 16},
+  };
+  std::size_t mq_keys = 0;
+  for (const SchedulerEntry& e : SchedulerRegistry::instance().entries()) {
+    if (e.name == "mq-opt" || e.family == "mq-opt") ++mq_keys;
+  }
+  EXPECT_EQ(mq_keys, std::size(golden)) << "an mq-family key has no row";
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.key);
+    AnyScheduler sched = SchedulerRegistry::instance().create(g.key, 2);
+    const auto* mq = sched.get_if<OptimizedMultiQueue>();
+    ASSERT_NE(mq, nullptr);
+    EXPECT_EQ(mq->config().insert_batch, g.insert_batch);
+    EXPECT_DOUBLE_EQ(mq->config().p_insert_change, g.p_insert);
+    EXPECT_EQ(mq->config().delete_batch, g.delete_batch);
+    EXPECT_DOUBLE_EQ(mq->config().p_delete_change, g.p_delete);
+  }
+  std::vector<std::string> tunables;
+  for (const Tunable& t :
+       SchedulerRegistry::instance().find("mq-opt")->tunables) {
+    tunables.push_back(t.name);
+  }
+  EXPECT_EQ(tunables, (std::vector<std::string>{
+                          "c", "insert-batch", "p-insert", "delete-batch",
+                          "p-delete", "seed", "numa", "numa-k"}));
+}
+
+/// OBIM shards its bags per node but samples no queues, so it has no
+/// remote weight K: its keys offer `numa` as a node count and no K.
+TEST(SchedulerRegistry, ObimNumaIsANodeCountWithoutK) {
+  for (const char* name : {"obim", "pmod", "obim-d4", "pmod-d4"}) {
+    SCOPED_TRACE(name);
+    const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
+    ASSERT_NE(entry, nullptr);
+    bool has_numa = false;
+    for (const Tunable& t : entry->tunables) {
+      EXPECT_NE(t.name, "numa-k");
+      if (t.name != "numa") continue;
+      has_numa = true;
+      EXPECT_EQ(t.description.find("k="), std::string::npos) << t.description;
+      EXPECT_NE(t.description.find("node count"), std::string::npos);
+    }
+    EXPECT_TRUE(has_numa);
+  }
 }
 
 TEST(SchedulerRegistry, TunablesAreDocumented) {

@@ -151,13 +151,16 @@ TEST(SuiteExpansion, Fig7_14IsTheStickinessAndBufferDiagonal) {
   const std::vector<std::string> expected{
       "mq-tl-p1",   "mq-tl-p4",   "mq-tl-p16",
       "mq-tl-p64",  "mq-tl-p256", "mq-tl-p1024",
-      "mq-opt-buf", "mq-opt-buf", "mq-opt-buf",
-      "mq-opt-buf", "mq-opt-buf", "mq-opt-buf"};
+      "mq-opt",     "mq-opt",     "mq-opt",
+      "mq-opt",     "mq-opt",     "mq-opt"};
   EXPECT_EQ(schedulers, expected);
-  // The buffer rows sweep insert = delete batch along the diagonal.
+  // The buffer rows sweep insert = delete batch along the diagonal, at
+  // p = 1 on both sides.
   for (std::size_t i = 7; i < suite->runs.size(); ++i) {
     const SuiteRun& run = suite->runs[i];
     EXPECT_EQ(run.params.get("insert-batch"), run.params.get("delete-batch"));
+    EXPECT_EQ(run.params.get("p-insert"), "1");
+    EXPECT_EQ(run.params.get("p-delete"), "1");
   }
   EXPECT_EQ(suite->runs[7].params.get("insert-batch"), "1");
   EXPECT_EQ(suite->runs[12].params.get("insert-batch"), "1024");
@@ -168,16 +171,17 @@ TEST(SuiteExpansion, Fig15_16IsTheOptimizationComboStack) {
   ASSERT_NE(suite, nullptr);
   ASSERT_EQ(suite->runs.size(), 5u);
   // The mq-c4 baseline is the combo with no optimization.
-  const std::vector<std::string> expected{"mq-c4", "mq-opt-stick",
-                                          "mq-opt-buf", "mq-opt-full",
-                                          "mq-opt"};
+  const std::vector<std::string> expected{"mq-c4", "mq-tl-p16", "mq-opt",
+                                          "mq-opt-full", "mq-opt"};
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
   }
-  // The explicit TL/B combo pins both policies on the base key.
+  // The explicit TL/B combo spells (1, 1/16) / (16, 1) on the base key.
   const SuiteRun& tlb = suite->runs[4];
-  EXPECT_EQ(tlb.params.get("insert-policy"), "local");
-  EXPECT_EQ(tlb.params.get("delete-policy"), "batch");
+  EXPECT_EQ(tlb.params.get("insert-batch"), "1");
+  EXPECT_EQ(tlb.params.get("p-insert"), "1/16");
+  EXPECT_EQ(tlb.params.get("delete-batch"), "16");
+  EXPECT_EQ(tlb.params.get("p-delete"), "1");
 }
 
 TEST(SuiteExpansion, Fig19_20PairsSkipListAndHeapVariants) {
@@ -229,16 +233,17 @@ TEST(SuiteExpansion, Table16_23IsTheMqComboNumaGrid) {
   }
   EXPECT_EQ(grid_of(*suite, "numa"), expected);
   // The three mq-opt blocks are TL/B, B/TL and B/B at p = 1/16 and
-  // buffers of 16.
-  const std::vector<std::pair<std::string, std::string>> policies{
-      {"local", "batch"}, {"batch", "local"}, {"batch", "batch"}};
-  for (std::size_t block = 0; block < policies.size(); ++block) {
+  // buffers of 16, spelled (B, p) insert / (B, p) delete.
+  const std::vector<std::vector<std::string>> combos{
+      {"1", "1/16", "16", "1"}, {"16", "1", "1", "1/16"},
+      {"16", "1", "16", "1"}};
+  for (std::size_t block = 0; block < combos.size(); ++block) {
     for (std::size_t i = 0; i < kNumaKs.size(); ++i) {
       const SuiteRun& run = suite->runs[1 + (block + 1) * kNumaKs.size() + i];
-      EXPECT_EQ(run.params.get("insert-policy"), policies[block].first);
-      EXPECT_EQ(run.params.get("delete-policy"), policies[block].second);
-      EXPECT_EQ(run.params.get("p-insert"), "1/16");
-      EXPECT_EQ(run.params.get("delete-batch"), "16");
+      EXPECT_EQ(run.params.get("insert-batch"), combos[block][0]);
+      EXPECT_EQ(run.params.get("p-insert"), combos[block][1]);
+      EXPECT_EQ(run.params.get("delete-batch"), combos[block][2]);
+      EXPECT_EQ(run.params.get("p-delete"), combos[block][3]);
     }
   }
 }
@@ -404,11 +409,11 @@ TEST(SuiteRunner, RunGridParamsWinOverCliTunables) {
   SuiteOptions opts;
   opts.threads = {1};
   opts.cli_params.set("vertices", "200");
-  opts.cli_params.set("delete-policy", "local");  // conflicts with TL/B row
+  opts.cli_params.set("delete-batch", "1");  // conflicts with TL/B row
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(run_suite(*suite, opts, out, err), 0) << err.str();
-  // The TL/B row pins delete-policy=batch in its grid params; the run
+  // The TL/B row pins delete-batch=16 in its grid params; the run
   // completing validly (and the suite exiting 0) shows the row params
   // were applied over the CLI conflict rather than dropped.
   EXPECT_NE(out.str().find("mq-opt (TL/B)"), std::string::npos);
