@@ -107,17 +107,17 @@ SuiteDef make_suite(const Workload& w, const std::vector<unsigned>& threads) {
   set_graph(d, w.graph);
   d.threads = threads;
 
-  d.runs.push_back({"mq-c4", {}, "mq-c4 (baseline)"});
+  d.runs.push_back({"mq", params_of({{"c", "4"}}), "mq-c4 (baseline)"});
   d.runs.push_back({"smq", tuned_smq_params(w), "smq (tuned)"});
   const bool numa = *std::max_element(threads.begin(), threads.end()) >= 4;
   for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
     // Presets are the ablation grids of the other suites (the classic
-    // MQ is one: the mq-c4 baseline row runs it); the sequential
+    // MQ is one: the baseline row runs it at C = 4); the sequential
     // baseline is every row's reference.
     if (!entry.family.empty() || entry.max_threads == 1) continue;
     SuiteRun run{entry.name, {}, ""};
     if (entry.name == "smq" || entry.name == "mq-opt") {
-      if (numa) run.params.set("numa", "nodes=2,k=8");
+      if (numa) run.params = params_of({{"numa", "2"}, {"numa-k", "8"}});
       if (entry.name == "smq") run.label = "smq (default)";
     } else if (entry.name == "obim" || entry.name == "pmod") {
       run.params.set("delta-shift", tuned_delta_shift(w));

@@ -7,10 +7,13 @@
 // priorities) and the paper uses it as a lower anchor in Figure 2.
 //
 // The random-enqueue side is exactly the operation the paper's NUMA
-// weighting (Section 4) applies to, so RELD participates in the NUMA
-// grid too: insert targets go through QueueSampler with *blocked*
+// weighting (Section 4) applies to, so RELD takes the `numa`/`numa-k`
+// tunables too: insert targets go through QueueSampler with *blocked*
 // ownership (thread t structurally owns queues [t*C, (t+1)*C)), unlike
-// the Multi-Queues' conventional round-robin assignment.
+// the Multi-Queues' conventional round-robin assignment. Enqueues
+// sample only those T*C queues: LockedQueueArray pads itself to two
+// queues, and a padding queue nobody dequeues locally would make even
+// T = 1, C = 1 inexact.
 //
 // The Handle resolves the thread's RNG, pop scratch, NUMA counters and
 // the index range of its owned queues once.
@@ -50,16 +53,17 @@ class ReldQueue {
         queues_per_thread_(cfg.queue_multiplier == 0 ? 1 : cfg.queue_multiplier),
         queues_(static_cast<std::size_t>(num_threads) * queues_per_thread_),
         locals_(num_threads),
-        sampler_(make_queue_sampler(queues_.size(), num_threads, cfg.topology,
-                                    cfg.numa_weight_k,
-                                    QueueOwnership::kBlocked)) {
+        sampler_(make_queue_sampler(
+            static_cast<std::size_t>(num_threads) * queues_per_thread_,
+            num_threads, cfg.topology, cfg.numa_weight_k,
+            QueueOwnership::kBlocked)) {
     for (unsigned tid = 0; tid < num_threads; ++tid) {
       locals_[tid].value.rng = Xoshiro256(thread_seed(cfg.seed, tid));
     }
   }
 
   unsigned num_threads() const noexcept { return num_threads_; }
-  std::size_t num_queues() const noexcept { return queues_.size(); }
+  std::size_t num_queues() const noexcept { return sampler_.num_queues(); }
   std::uint64_t approx_size() const noexcept { return queues_.approx_total(); }
 
   /// Per-thread view: random enqueue through the (possibly weighted)
@@ -93,10 +97,14 @@ class ReldQueue {
       auto& out = me_->scratch;
       out.clear();
       LockedQueueArray& queues = sched_->queues_;
-      // Local first: round-robin over the thread's own queue block.
-      for (unsigned k = 0; k < sched_->queues_per_thread_; ++k) {
-        if (queues.try_pop_batch(first_own_ + k, out, 1) ==
+      // Local first: round-robin over the thread's own queue block,
+      // starting one past the queue of the last local pop.
+      const unsigned c = sched_->queues_per_thread_;
+      for (unsigned k = 0; k < c; ++k) {
+        const unsigned own = (me_->next_own + k) % c;
+        if (queues.try_pop_batch(first_own_ + own, out, 1) ==
             LockedQueueArray::PopStatus::kOk) {
+          me_->next_own = (own + 1) % c;
           return out.front();
         }
       }
@@ -139,6 +147,7 @@ class ReldQueue {
     Xoshiro256 rng;
     std::vector<Task> scratch;
     NumaCounters numa;
+    unsigned next_own = 0;  // the owned queue the next local pop tries first
   };
 
   unsigned num_threads_;

@@ -35,8 +35,6 @@ class ParamMap {
     kv_[std::move(key)] = std::move(value);
   }
 
-  void erase(const std::string& key) { kv_.erase(key); }
-
   bool has(const std::string& key) const { return kv_.count(key) != 0; }
 
   std::string get(const std::string& key, std::string fallback = "") const {

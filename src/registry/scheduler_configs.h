@@ -21,27 +21,37 @@
 
 namespace smq {
 
-/// NUMA options accepted in three spellings: "--numa 2" (node count),
-/// "--numa nodes=2,k=8", "--numa k=8" (implies 2 nodes), plus the
-/// separate "--numa-k 8". Simulated topology, see sched/topology.h.
+/// The remote-queue sampling weight divisor K (paper Section 4) that
+/// SMQ, the Multi-Queues and RELD run at when `numa-k` is unset. The
+/// factories and the sweep reporter both read it through parse_numa.
+inline constexpr int kDefaultNumaK = 8;
+
+/// A run's simulated NUMA point (sched/topology.h): `nodes` virtual
+/// nodes (0 or 1 = UMA) and the remote weight K.
 struct NumaOptions {
   unsigned nodes = 0;
-  double k = 1.0;
-  bool k_pinned = false;  // K was spelled out (even K=1), not defaulted
+  double k = kDefaultNumaK;
 };
 
-NumaOptions parse_numa(const ParamMap& params, unsigned threads,
-                       double default_k);
+/// Read the `numa` tunable (a node count, clamped to `threads`) and
+/// `numa-k` (K > 0). Throws std::invalid_argument naming the tunable when
+/// `numa` is not a non-negative integer or `numa-k` not a positive number.
+NumaOptions parse_numa(const ParamMap& params, unsigned threads);
 
-/// Build the simulated topology when requested; the caller ties its
-/// lifetime to the scheduler (configs hold a raw pointer into it).
-std::shared_ptr<Topology> make_topology(const NumaOptions& numa,
-                                        unsigned threads);
+/// The analytic expected internal (same-node) fraction E of `numa` at
+/// `threads` threads — Section 4's metric, 1.0 without a topology.
+/// `exclude_own_queue` as in Topology::expected_internal_fraction (true
+/// for SMQ's steal victims).
+double expected_internal_fraction(const NumaOptions& numa, unsigned threads,
+                                  bool exclude_own_queue);
 
+/// `numa` then `numa-k`. OBIM and PMOD shard by node but sample no
+/// queues, so they take only the first.
 const std::vector<Tunable>& numa_tunables();
 
 // Each builder fills `topology` (possibly with nullptr) with the object
-// its returned config points into.
+// its returned config points into, and throws std::invalid_argument
+// naming the knob when a size knob (a batch or chunk length) is below 1.
 SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
                           std::shared_ptr<Topology>& topology);
 OptimizedMqConfig make_optimized_mq_config(unsigned threads,

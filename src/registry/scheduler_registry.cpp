@@ -162,7 +162,7 @@ void register_builtins(SchedulerRegistry& reg) {
         {"delta-shift", "10", "log2(delta): priority bits merged per level"},
         // OBIM shards its bags per node but samples no queues, so it has
         // no remote weight K: only the node count applies.
-        {"numa", "0", "virtual NUMA nodes (a node count, e.g. \"2\")"},
+        numa_tunables().front(),
     };
     reg.add({
         .name = "obim",
@@ -240,16 +240,18 @@ void register_builtins(SchedulerRegistry& reg) {
   // ---- named sweep presets -------------------------------------------
   //
   // The paper's parameter grids as first-class registry keys, so
-  // `--sched`, the NUMA grid and the figure suites (registry/suites.h)
-  // can enumerate them like any other scheduler instead of benches
-  // hand-rolling the loops. Pinned knobs win over conflicting CLI
-  // tunables — that is what makes the key a preset; everything else
-  // (c, seed, numa, steal-size, chunk-size, ...) still flows through.
+  // `--sched` and the figure suites (registry/suites.h) can enumerate
+  // them like any other scheduler instead of benches hand-rolling the
+  // loops. Pinned knobs win over conflicting CLI tunables — that is what
+  // makes the key a preset; everything else (c, seed, numa, steal-size,
+  // chunk-size, ...) still flows through. A grid point equal to a base
+  // key's defaults gets no key of its own (mq is D = 1 and C = 4, smq
+  // and smq-skiplist are p_steal = 1/8, reld is C = 1): suites spell it
+  // as the base key.
 
   // mq-tl-p<D>: optimized MQ, temporal locality on insert AND delete,
-  // (B, p) = (1, 1/D) on both sides (Figures 7-14's stickiness sweep;
-  // mq-tl-p1 is the classic MQ).
-  for (const int denom : {1, 4, 16, 64, 256, 1024}) {
+  // (B, p) = (1, 1/D) on both sides (Figures 7-14's stickiness sweep).
+  for (const int denom : {4, 16, 64, 256, 1024}) {
     const std::string p = "1/" + std::to_string(denom);
     add_preset(reg, "mq-tl-p" + std::to_string(denom),
                "preset: mq-opt, temporal locality, p = " + p, "mq-opt",
@@ -260,7 +262,7 @@ void register_builtins(SchedulerRegistry& reg) {
   }
 
   // reld-c<C>: RELD with C queues per thread (the C-sweep anchor).
-  for (const unsigned c : {1u, 2u, 4u, 8u}) {
+  for (const unsigned c : {2u, 4u, 8u}) {
     add_preset(reg, "reld-c" + std::to_string(c),
                "preset: RELD with " + std::to_string(c) + " queues per thread",
                "reld", params_of({{"c", std::to_string(c)}}));
@@ -278,7 +280,7 @@ void register_builtins(SchedulerRegistry& reg) {
   }
 
   // mq-c<C>: the classic-MQ queue-multiplier sweep (Tables 2-3).
-  for (const unsigned c : {1u, 2u, 4u, 8u, 16u}) {
+  for (const unsigned c : {1u, 2u, 8u, 16u}) {
     ParamMap pinned = classic_mq;
     pinned.set("c", std::to_string(c));
     add_preset(reg, "mq-c" + std::to_string(c),
@@ -289,13 +291,13 @@ void register_builtins(SchedulerRegistry& reg) {
   // smq-p<D> / smq-sl-p<D>: the SMQ ablation pair (Figure 1 and
   // Figures 19-20), p_steal = 1/D; steal-size stays tunable (the
   // figures' other axis).
-  for (const int denom : {2, 4, 8, 16, 32, 64}) {
+  for (const int denom : {2, 4, 16, 32, 64}) {
     const std::string p = "1/" + std::to_string(denom);
     add_preset(reg, "smq-p" + std::to_string(denom),
                "preset: SMQ (heap), p_steal = " + p, "smq",
                params_of({{"p-steal", p}}));
   }
-  for (const int denom : {2, 4, 8, 16, 32}) {
+  for (const int denom : {2, 4, 16, 32}) {
     const std::string p = "1/" + std::to_string(denom);
     add_preset(reg, "smq-sl-p" + std::to_string(denom),
                "preset: SMQ (skip list), p_steal = " + p, "smq-skiplist",

@@ -9,6 +9,7 @@
 // template instantiations.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -37,6 +38,12 @@ struct SchedulerEntry {
   std::string family = {};
   ParamMap pinned = {};
   ParamMap defaults = {};
+
+  /// Whether the entry registers the tunable `name`.
+  bool takes(std::string_view name) const {
+    return std::ranges::any_of(
+        tunables, [name](const Tunable& t) { return t.name == name; });
+  }
 };
 
 /// `params` with `defaults` filled in where unset and `pinned` forced.

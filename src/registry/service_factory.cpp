@@ -1,6 +1,5 @@
 #include "registry/service_factory.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,12 +31,7 @@ ParamMap service_params(std::string_view sched_name, const ParamMap& params) {
   if (params.has("p-steal")) return params;
   const SchedulerEntry* entry =
       SchedulerRegistry::instance().find(sched_name);
-  if (entry == nullptr ||
-      std::ranges::none_of(entry->tunables, [](const Tunable& t) {
-        return t.name == "p-steal";
-      })) {
-    return params;
-  }
+  if (entry == nullptr || !entry->takes("p-steal")) return params;
   ParamMap resolved = params;
   resolved.set("p-steal", "0");
   return resolved;

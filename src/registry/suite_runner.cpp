@@ -9,7 +9,6 @@
 
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
-#include "registry/numa_grid.h"
 #include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
 #include "registry/static_dispatch.h"
@@ -31,6 +30,10 @@ struct SweepRow {
   std::string_view dispatch = "virtual";  // dispatch_label() of the run
   AlgoResult result;
   int reps = 1;
+  // The NUMA point the run ran at (row_numa) and, for a scheduler that
+  // takes `numa-k`, its analytic internal fraction E.
+  std::optional<NumaOptions> numa;
+  std::optional<double> internal_frac_expected;
   // Set when the run asked for `auto`: `scheduler` is its pick, and the
   // match kind and the resolver's explanation reach the table and JSON.
   std::optional<tuning::AutoSelection> auto_pick;
@@ -47,33 +50,29 @@ struct SweepReport {
   std::vector<SweepRow> rows;
 };
 
-/// The NUMA point a row's run pins, read by the factories' own parser;
-/// nullopt when the run leaves `numa` to the CLI.
-std::optional<NumaOptions> pinned_numa(const SweepRow& row) {
-  if (!row.row_params.has("numa")) return std::nullopt;
-  return parse_numa(row.row_params, row.threads, /*default_k=*/1.0);
+/// Fill `row`'s NUMA columns from the params its run executes with
+/// (`run_params`, CLI under row pins), resolved through its preset and
+/// read by parse_numa exactly as the factory reads them. A row whose
+/// params set no `numa`, or whose scheduler takes none, stays UMA.
+void set_row_numa(SweepRow& row, const SchedulerEntry& entry,
+                  const ParamMap& run_params) {
+  if (!run_params.has("numa") || !entry.takes("numa")) return;
+  row.numa = parse_numa(resolve_preset_params(entry, run_params), row.threads);
+  if (!entry.takes("numa-k")) return;  // OBIM/PMOD: nodes only, no K
+  // SMQ draws steal victims among the other threads, the queue samplers
+  // among all queues, the chooser's own included.
+  const std::string& family = entry.family.empty() ? entry.name : entry.family;
+  row.internal_frac_expected = expected_internal_fraction(
+      *row.numa, row.threads, family == "smq" || family == "smq-skiplist");
 }
 
-/// Whether `scheduler` samples SMQ steal victims, drawn among the other
-/// threads, rather than MQ queues, drawn among all, the chooser's own
-/// included; the two give different analytic internal fractions E.
-bool samples_steal_victims(std::string_view scheduler) {
-  const SchedulerEntry* entry = SchedulerRegistry::instance().find(scheduler);
-  if (entry == nullptr) return false;
-  const std::string& family =
-      entry->family.empty() ? entry->name : entry->family;
-  return family == "smq" || family == "smq-skiplist";
-}
-
-/// The table's numa cell: "nodes/K" for a pinned point (nodes alone
-/// when K is the scheduler's default, "-" = UMA), else the CLI `numa`.
-std::string numa_cell(const SweepRow& row, const ParamMap& params) {
-  const std::optional<NumaOptions> numa = pinned_numa(row);
-  if (!numa) return params.get("numa", "-");
-  if (numa->nodes <= 1) return "-";
+/// The table's numa cell: "nodes/K" for a multi-node row (nodes alone
+/// for a scheduler without K), "-" for UMA.
+std::string numa_cell(const SweepRow& row) {
+  if (!row.numa || row.numa->nodes <= 1) return "-";
   std::ostringstream cell;
-  cell << numa->nodes;
-  if (numa->k_pinned) cell << '/' << numa->k;
+  cell << row.numa->nodes;
+  if (row.internal_frac_expected) cell << '/' << row.numa->k;
   return cell.str();
 }
 
@@ -97,7 +96,7 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
         row.auto_pick ? row.label + ":" + row.scheduler : row.label;
     table.add_row(
         {label, std::to_string(row.threads), std::string(row.dispatch),
-         numa_cell(row, report.params),
+         numa_cell(row),
          TablePrinter::fmt(row.result.run.seconds * 1e3),
          std::to_string(stats.pops), std::to_string(stats.wasted),
          ref != nullptr ? TablePrinter::fmt(work_inc) : "-",
@@ -117,9 +116,6 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   if (!report.suite->name.empty()) json.member("suite", report.suite->name);
   json.member("algorithm", report.algorithm);
   json.member("dispatch", std::string(report.dispatch));
-  if (!report.suite->numa_grid.empty()) {
-    json.member("numa_grid", report.suite->numa_grid);
-  }
 
   json.key("graph").begin_object();
   json.member("name", report.graph.name);
@@ -167,16 +163,10 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
       json.member("requested_threads", row.requested_threads);
     }
     json.member("dispatch", std::string(row.dispatch));
-    // A spec that leaves K to the scheduler names no point on the K axis.
-    if (const std::optional<NumaOptions> numa = pinned_numa(row)) {
-      json.member("numa_nodes", numa->nodes);
-      if (numa->k_pinned) {
-        json.member("numa_k", numa->k);
-        json.member("internal_frac_expected",
-                    expected_internal_fraction(
-                        *numa, row.threads,
-                        samples_steal_victims(row.scheduler)));
-      }
+    if (row.numa) json.member("numa_nodes", row.numa->nodes);
+    if (row.internal_frac_expected) {
+      json.member("numa_k", row.numa->k);
+      json.member("internal_frac_expected", *row.internal_frac_expected);
     }
     json.member("seconds", row.result.run.seconds);
     json.member("tasks", stats.pops);
@@ -307,7 +297,6 @@ std::string_view dispatch_label(bool static_dispatch, const ParamMap& params) {
 
 ParamMap merge_run_params(const ParamMap& params, const ParamMap& run_params) {
   ParamMap merged = params;
-  if (run_params.has("numa")) merged.erase("numa-k");
   for (const auto& [key, value] : run_params.entries()) {
     merged.set(key, value);
   }
@@ -331,37 +320,11 @@ std::vector<std::string> parse_sched_list(std::string_view list) {
   return names;
 }
 
-SuiteDef sweep_suite(std::string_view sched_list, std::string_view numa_grid,
-                     std::ostream& err) {
+SuiteDef sweep_suite(std::string_view sched_list) {
   SuiteDef suite;
   suite.threads = {4};
-  suite.numa_grid = std::string(numa_grid);
-  const std::vector<std::string> points =
-      numa_grid.empty() ? std::vector<std::string>{}
-                        : parse_numa_grid(numa_grid);
   for (const std::string& name : parse_sched_list(sched_list)) {
-    if (!points.empty() && is_auto(name)) {
-      throw std::invalid_argument(
-          "--sched auto cannot be combined with --numa-grid (the grid "
-          "sweeps the axis the auto rows have already pinned)");
-    }
-    const bool takes_numa =
-        !is_auto(name) &&
-        std::ranges::any_of(SchedulerRegistry::instance().find(name)->tunables,
-                            [](const Tunable& t) { return t.name == "numa"; });
-    if (points.empty() || !takes_numa) {
-      // Rows claiming a topology that never applied would poison the
-      // trajectory, so a scheduler without the tunable runs once.
-      if (!points.empty()) {
-        err << "note: '" << name << "' takes no numa tunable; running it "
-            << "once without the grid\n";
-      }
-      suite.runs.push_back({name, {}, name});
-      continue;
-    }
-    for (const std::string& point : points) {
-      suite.runs.push_back({name, params_of({{"numa", point}}), name});
-    }
+    suite.runs.push_back({name, {}, name});
   }
   return suite;
 }
@@ -382,6 +345,22 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
   ParamMap params = suite.graph_params;
   for (const auto& [key, value] : opts.cli_params.entries()) {
     params.set(key, value);
+  }
+  // Reject an unknown scheduler or a malformed NUMA point before any
+  // graph is built.
+  try {
+    for (const SuiteRun& run : suite.runs) {
+      if (!is_auto(run.scheduler) &&
+          SchedulerRegistry::instance().find(run.scheduler) == nullptr) {
+        throw std::invalid_argument("suite " + suite.name +
+                                    " names unknown scheduler: " +
+                                    run.scheduler);
+      }
+      parse_numa(merge_run_params(params, run.params), 1);
+    }
+  } catch (const std::invalid_argument& e) {
+    err << e.what() << "\n";
+    return 2;
   }
   SweepReport report;
   try {
@@ -416,7 +395,6 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       << "algorithm: " << algo_name << "\n"
       << "dispatch: " << report.dispatch << " (batch-size "
       << params.get("batch-size", "1") << ")\n";
-  if (!suite.numa_grid.empty()) out << "numa grid: " << suite.numa_grid << "\n";
 
   AlgoReference reference;
   if (opts.validate) {
@@ -429,12 +407,6 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
 
   bool any_invalid = false;
   for (const SuiteRun& run : suite.runs) {
-    if (!is_auto(run.scheduler) &&
-        SchedulerRegistry::instance().find(run.scheduler) == nullptr) {
-      err << "suite " << suite.name << " names unknown scheduler: "
-          << run.scheduler << "\n";
-      return 2;
-    }
     // Static dispatch covers the hot config families (and their presets)
     // only; anything else keeps its uniform erased path (and says so).
     // `auto` decides per row, once its pick is known.
@@ -464,6 +436,7 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       row.row_params = run.params;
       row.requested_threads = requested;
       row.threads = effective_threads(entry, requested);
+      set_row_numa(row, entry, run_params);
       row.dispatch = dispatch_label(row_static, run_params);
       row.reps = reps;
       row.result = measure_row(entry, row.scheduler, *algo, algo_name,

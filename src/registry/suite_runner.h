@@ -4,12 +4,12 @@
 // run_suite() measures each at every thread count, validates it against
 // the sequential oracle and prints one table (plus optional JSON). The
 // figure suites (`smq_run --suite fig3_6`, bench_fig2_main_comparison)
-// and the ad-hoc `smq_run --sched a,b[,auto] [--numa-grid SPEC]` sweep,
-// which sweep_suite() expands into an unnamed SuiteDef, go through this
-// one loop, so "a suite emits the same rows as an ad-hoc sweep" holds by
-// construction. `auto` resolves per thread count through
-// tuning::resolve_auto; a row's NUMA columns come from parse_numa over
-// the `numa` its run pins.
+// and the ad-hoc `smq_run --sched a,b[,auto]` sweep, which sweep_suite()
+// expands into an unnamed SuiteDef, go through this one loop, so "a suite
+// emits the same rows as an ad-hoc sweep" holds by construction. `auto`
+// resolves per thread count through tuning::resolve_auto. A row's NUMA
+// columns come from the params it ran with (CLI under the run's pins),
+// read by parse_numa as the factories read them.
 #pragma once
 
 #include <iosfwd>
@@ -37,9 +37,7 @@ std::optional<bool> parse_static_dispatch(const ArgParser& args,
 std::string_view dispatch_label(bool static_dispatch, const ParamMap& params);
 
 /// The params one suite run executes with: the sweep's `params` under
-/// the run's own, which win — they are the suite's sweep axis. A run
-/// that pins `numa` also drops `numa-k`, which would otherwise override
-/// the pinned K of every NUMA-table row and grid point alike.
+/// the run's own, which win — they are the suite's sweep axis.
 ParamMap merge_run_params(const ParamMap& params, const ParamMap& run_params);
 
 /// A `--sched` list: comma-separated registry keys and `auto`; "all" is
@@ -47,14 +45,10 @@ ParamMap merge_run_params(const ParamMap& params, const ParamMap& run_params);
 /// nearest key for an unknown name.
 std::vector<std::string> parse_sched_list(std::string_view list);
 
-/// The ad-hoc sweep `--sched sched_list [--numa-grid numa_grid]` as an
-/// unnamed suite: one run per scheduler at smq_run's default of 4
-/// threads, times the grid's `numa` points (parse_numa_grid) when a grid
-/// is given. A scheduler without a `numa` tunable runs once (noted on
-/// `err`). Throws std::invalid_argument on an unknown scheduler, a
-/// malformed grid, or `auto` with a grid (the auto rows pin that axis).
-SuiteDef sweep_suite(std::string_view sched_list, std::string_view numa_grid,
-                     std::ostream& err);
+/// The ad-hoc sweep `--sched sched_list` as an unnamed suite: one run
+/// per scheduler at smq_run's default of 4 threads. Throws
+/// std::invalid_argument on an unknown scheduler.
+SuiteDef sweep_suite(std::string_view sched_list);
 
 struct SuiteOptions {
   std::vector<unsigned> threads;  // empty = the suite's default sweep
@@ -78,7 +72,8 @@ std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
 /// against the sequential oracle, print the table (and JSON when
 /// requested) to `out`. Rows are best-of-`reps`; the JSON is
 /// tools/perf_check.py's input format. Returns 0 on success, 1 when any
-/// row failed validation, 2 on configuration errors.
+/// row failed validation, 2 on configuration errors (an unknown
+/// scheduler, graph or algorithm, or a malformed `numa`/`numa-k`).
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
               std::ostream& out, std::ostream& err);
 

@@ -27,7 +27,26 @@ ParamMap mq_opt_params(const std::string& insert_batch,
 
 /// The paper's per-thread-count baseline, first row of every speedup
 /// figure: classic MQ with C = 4.
-SuiteRun mq_baseline() { return run_of("mq-c4", {}, "mq-c4 (baseline)"); }
+SuiteRun mq_baseline() {
+  return run_of("mq", {{"c", "4"}}, "mq-c4 (baseline)");
+}
+
+/// One row of an SMQ ablation grid at p_steal = 1/`denom`: the
+/// smq-p<D> / smq-sl-p<D> preset, or the base key at D = 8, its default.
+SuiteRun smq_ablation_run(const char* base, const char* preset, int denom,
+                          const char* steal_size) {
+  const std::string key = preset + std::to_string(denom);
+  if (denom != 8) return run_of(key, {{"steal-size", steal_size}});
+  return run_of(base, {{"p-steal", "1/8"}, {"steal-size", steal_size}},
+                key + "/steal-size=" + steal_size);
+}
+
+/// `params` at a NUMA-table point: two virtual nodes at remote weight K.
+ParamMap numa_point(const std::string& k, ParamMap params = {}) {
+  params.set("numa", "2");
+  params.set("numa-k", k);
+  return params;
+}
 
 std::vector<SuiteDef> build_suites() {
   std::vector<SuiteDef> defs;
@@ -46,8 +65,7 @@ std::vector<SuiteDef> build_suites() {
     d.runs.push_back(mq_baseline());
     for (const int denom : {2, 4, 8, 16, 32, 64}) {
       for (const char* size : {"1", "4", "16", "64"}) {
-        d.runs.push_back(run_of("smq-p" + std::to_string(denom),
-                                {{"steal-size", size}}));
+        d.runs.push_back(smq_ablation_run("smq", "smq-p", denom, size));
       }
     }
     defs.push_back(std::move(d));
@@ -74,8 +92,8 @@ std::vector<SuiteDef> build_suites() {
 
   // Figures 7-14 / Tables 4-11 (Appendix C): the classic-MQ optimization
   // sub-sweeps along the figures' diagonal — temporal-locality stickiness
-  // (1, 1/D) on both sides via the mq-tl-p presets, and task-batching
-  // buffer size (B, 1) on both sides via mq-opt.
+  // (1, 1/D) on both sides via the mq-tl-p presets (D = 1 is the classic
+  // mq), and task-batching buffer size (B, 1) on both sides via mq-opt.
   {
     SuiteDef d;
     d.name = "fig7_14";
@@ -83,7 +101,8 @@ std::vector<SuiteDef> build_suites() {
     d.description = "MQ optimization sub-sweeps: stickiness and buffer size";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    for (const int denom : {1, 4, 16, 64, 256, 1024}) {
+    d.runs.push_back(run_of("mq", {}, "mq-tl-p1"));
+    for (const int denom : {4, 16, 64, 256, 1024}) {
       d.runs.push_back(run_of("mq-tl-p" + std::to_string(denom)));
     }
     for (const char* batch : {"1", "4", "16", "64", "256", "1024"}) {
@@ -122,11 +141,11 @@ std::vector<SuiteDef> build_suites() {
     d.description = "SMQ (skip list) ablation, heap variant paired";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    for (const char* variant : {"smq-sl-p", "smq-p"}) {
+    for (const auto& [base, preset] :
+         {std::pair{"smq-skiplist", "smq-sl-p"}, std::pair{"smq", "smq-p"}}) {
       for (const int denom : {2, 4, 8, 16, 32}) {
         for (const char* size : {"1", "8", "64"}) {
-          d.runs.push_back(run_of(variant + std::to_string(denom),
-                                  {{"steal-size", size}}));
+          d.runs.push_back(smq_ablation_run(base, preset, denom, size));
         }
       }
     }
@@ -141,7 +160,8 @@ std::vector<SuiteDef> build_suites() {
     d.description = "classic MQ C-sweep vs the sequential exact PQ";
     d.threads = {4};
     for (const unsigned c : {1u, 2u, 4u, 8u, 16u}) {
-      d.runs.push_back(run_of("mq-c" + std::to_string(c)));
+      const std::string key = "mq-c" + std::to_string(c);
+      d.runs.push_back(c == 4 ? run_of("mq", {{"c", "4"}}, key) : run_of(key));
     }
     defs.push_back(std::move(d));
   }
@@ -160,18 +180,15 @@ std::vector<SuiteDef> build_suites() {
     // TL/TL is the mq-tl-p16 preset; the other three combos spell their
     // (B, p) per side on mq-opt at the same p = 1/16 and buffers of 16.
     for (const std::string& k : numa_ks) {
-      d.runs.push_back(
-          run_of("mq-tl-p16", {{"numa", "nodes=2,k=" + k}}, "TL/TL K=" + k));
+      d.runs.push_back({"mq-tl-p16", numa_point(k), "TL/TL K=" + k});
     }
     for (const auto& [label, combo] :
          {std::pair{"TL/B", mq_opt_params("1", "1/16", "16", "1")},
           std::pair{"B/TL", mq_opt_params("16", "1", "1", "1/16")},
           std::pair{"B/B", mq_opt_params("16", "1", "16", "1")}}) {
       for (const std::string& k : numa_ks) {
-        ParamMap params = combo;
-        params.set("numa", "nodes=2,k=" + k);
         d.runs.push_back(
-            {"mq-opt", std::move(params), std::string(label) + " K=" + k});
+            {"mq-opt", numa_point(k, combo), std::string(label) + " K=" + k});
       }
     }
     defs.push_back(std::move(d));
@@ -189,7 +206,7 @@ std::vector<SuiteDef> build_suites() {
     d.runs.push_back(mq_baseline());
     for (const char* scheduler : {"smq", "smq-skiplist"}) {
       for (const std::string& k : numa_ks) {
-        d.runs.push_back(run_of(scheduler, {{"numa", "nodes=2,k=" + k}}));
+        d.runs.push_back({scheduler, numa_point(k), ""});
       }
     }
     defs.push_back(std::move(d));

@@ -3,7 +3,11 @@
 //
 // A suite names the exact (scheduler preset, per-run params) tuples,
 // thread counts and default graph that reproduce one figure or table of
-// conf_ppopp_PostnikovaKNA22 through the registry runners. `smq_run
+// conf_ppopp_PostnikovaKNA22 through the registry runners. A grid point
+// that equals a base key's defaults runs as that key, with the point's
+// knobs pinned as run params and the figure's label kept (the MQ
+// baseline is `mq` at c = 4, labelled "mq-c4 (baseline)"); a NUMA-table
+// row pins `numa` (the node count) and `numa-k` (K). `smq_run
 // --suite fig3_6` runs a suite through registry/suite_runner.h, the
 // same runner an ad-hoc `--sched` sweep goes through — so every
 // figure's configuration is enumerable, validated against the
@@ -37,7 +41,6 @@ struct SuiteDef {
   ParamMap graph_params;            // graph defaults (CLI overrides win)
   std::vector<unsigned> threads;    // default thread sweep
   std::vector<SuiteRun> runs;
-  std::string numa_grid;            // ad-hoc sweeps: the --numa-grid spec
 };
 
 /// Every registered suite, in listing order.

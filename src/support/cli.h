@@ -34,7 +34,7 @@ class ArgParser {
 };
 
 /// Split `text` on `sep`, dropping empty segments — the list syntax of
-/// every CLI value here ("smq,mq", "nodes=1,2,4", "1,8,64"). One
+/// every CLI value here ("smq,mq", "1,4,8", "100,1000"). One
 /// definition so the parsers' edge cases cannot drift apart.
 std::vector<std::string> split_list(std::string_view text, char sep);
 

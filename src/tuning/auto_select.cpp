@@ -10,7 +10,7 @@ namespace {
 
 // Measured with `smq_run --batch-size 64 --reps 1 --threads 1,4`,
 // five interleaved runs of smq against smq-p16, mq-opt-full, obim-d4,
-// reld-c4, mq-c4 and pmod-d4, on `road --vertices 1000000` (road),
+// reld-c4, mq (C = 4) and pmod-d4, on `road --vertices 1000000` (road),
 // `rand --vertices 1000000 --edges 8000000` (uniform) and `rmat
 // --scale 20` (social), 4-core Xeon VM. A row exists only where its
 // preset's best time beat smq's best by more than smq's own max-min

@@ -16,7 +16,6 @@
 #include "core/stealing_multiqueue.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
-#include "registry/numa_grid.h"
 #include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
 #include "registry/suite_runner.h"
@@ -218,8 +217,9 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   const AlgorithmEntry* algo = AlgorithmRegistry::instance().find("sssp");
   ASSERT_NE(algo, nullptr);
 
-  // One grid point of the driver's sweep: 2 nodes, K = 8.
-  params.set("numa", parse_numa_grid("nodes=2:k=8").at(0));
+  // One NUMA-table point: 2 nodes, K = 8.
+  params.set("numa", "2");
+  params.set("numa-k", "8");
   AnyScheduler sched = SchedulerRegistry::instance().create("smq", 4, params);
   const AlgoResult result = algo->run(graph, sched, 4, params, nullptr);
 
@@ -241,8 +241,8 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   EXPECT_EQ(uma_result.run.stats.sampled_accesses, 0u);
   EXPECT_EQ(uma_result.run.stats.remote_accesses, 0u);
 
-  // The RELD presets advertise NUMA-grid participation too: weighted
-  // enqueue sampling must show up in the merged stats.
+  // The RELD keys take the NUMA point too: weighted enqueue sampling
+  // must show up in the merged stats.
   AnyScheduler reld = SchedulerRegistry::instance().create("reld-c2", 4, params);
   const AlgoResult reld_result = algo->run(graph, reld, 4, params, nullptr);
   EXPECT_GT(reld_result.run.stats.sampled_accesses, 0u);
@@ -254,89 +254,86 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   // threads over 2 nodes a thread has a same-node victim, and a large K
   // should keep most samples on it (at 4000 vertices: 0.68 at K=1, 0.22
   // at K=8, ~0.03 at K=64).
-  const auto smq_remote_frac = [&](const char* numa) {
-    ParamMap p;
-    p.set("numa", numa);
+  const auto smq_remote_frac = [&](const char* k) {
+    const ParamMap p = params_of({{"numa", "2"}, {"numa-k", k}});
     AnyScheduler smq = SchedulerRegistry::instance().create("smq", 4, p);
     const ThreadStats stats = algo->run(graph, smq, 4, p, nullptr).run.stats;
-    EXPECT_GT(stats.sampled_accesses, 0u) << numa;
+    EXPECT_GT(stats.sampled_accesses, 0u) << k;
     return stats.remote_frac();
   };
-  const double uniform = smq_remote_frac("nodes=2,k=1");
-  const double weighted = smq_remote_frac("nodes=2,k=64");
+  const double uniform = smq_remote_frac("1");
+  const double weighted = smq_remote_frac("64");
   EXPECT_GT(uniform, 0.3);
   EXPECT_LT(weighted, uniform / 2) << "K=1: " << uniform;
 }
 
-// ---- the grid parser itself -----------------------------------------------
+// ---- the NUMA point: `numa` is a node count, `numa-k` is K ----------------
 
-TEST(NumaGrid, ParsesCrossProduct) {
-  // nodes=1 collapses to one UMA point (K is meaningless there), so
-  // 1x{1,8} + 2x{1,8} + 4x{1,8} yields 5 points, not 6.
-  const auto grid = parse_numa_grid("nodes=1,2,4:k=1,8");
-  EXPECT_EQ(grid, (std::vector<std::string>{"nodes=1,k=1", "nodes=2,k=1",
-                                            "nodes=2,k=8", "nodes=4,k=1",
-                                            "nodes=4,k=8"}));
+TEST(NumaPoint, OldSpellingsAndGarbageAreRejected) {
+  // The retired key=value grammar ("2,k=8", "k=8") must not run UMA
+  // silently; neither may a node count that is not a whole number.
+  for (const char* numa : {"2,k=8", "k=8", "banana", "-1", "2.5", "2x"}) {
+    SCOPED_TRACE(numa);
+    EXPECT_THROW(parse_numa(params_of({{"numa", numa}}), 4),
+                 std::invalid_argument);
+    EXPECT_THROW(SchedulerRegistry::instance().create(
+                     "smq", 4, params_of({{"numa", numa}})),
+                 std::invalid_argument);
+  }
+  for (const char* k : {"0", "-8", "x", "8x", "nan", "inf"}) {
+    SCOPED_TRACE(k);
+    EXPECT_THROW(parse_numa(params_of({{"numa", "2"}, {"numa-k", k}}), 4),
+                 std::invalid_argument);
+  }
+  // What is left: a node count (clamped to the thread count), and K,
+  // defaulting to kDefaultNumaK.
+  const NumaOptions unset = parse_numa({}, 4);
+  EXPECT_EQ(unset.nodes, 0u);
+  EXPECT_EQ(unset.k, kDefaultNumaK);
+  const NumaOptions point =
+      parse_numa(params_of({{"numa", "4"}, {"numa-k", "1.5"}}), 2);
+  EXPECT_EQ(point.nodes, 2u);
+  EXPECT_EQ(point.k, 1.5);
 }
 
-TEST(NumaGrid, SingleDimensionDefaults) {
-  // A K-only sweep runs on 2 nodes.
-  EXPECT_EQ(parse_numa_grid("k=1,8,64"),
-            (std::vector<std::string>{"nodes=2,k=1", "nodes=2,k=8",
-                                      "nodes=2,k=64"}));
-  // A nodes-only sweep pins K=1 explicitly, so the recorded analytic E
-  // matches the uniform sampling that actually runs.
-  EXPECT_EQ(parse_numa_grid("nodes=2,4"),
-            (std::vector<std::string>{"nodes=2,k=1", "nodes=4,k=1"}));
-}
-
-TEST(NumaGrid, RejectsMalformedSpecs) {
-  EXPECT_THROW(parse_numa_grid(""), std::invalid_argument);
-  EXPECT_THROW(parse_numa_grid("nodes"), std::invalid_argument);
-  EXPECT_THROW(parse_numa_grid("cores=1,2"), std::invalid_argument);
-  EXPECT_THROW(parse_numa_grid("nodes=1,x"), std::invalid_argument);
-  EXPECT_THROW(parse_numa_grid("k=0"), std::invalid_argument);
-}
-
-TEST(NumaGrid, PinnedPointDrivesTopologyRebuild) {
-  // Each grid point pins `numa` on its run; the scheduler configs must
-  // rebuild the topology for it, and a CLI numa-k must not override the
-  // pinned K.
+TEST(NumaPoint, PinnedPointDrivesTopologyRebuild) {
+  // A NUMA-table row pins `numa` and `numa-k` on its run; the scheduler
+  // configs must rebuild the topology for it, and a CLI numa-k must not
+  // override the pinned K.
   const ParamMap cli = params_of({{"numa-k", "2"}});
   ParamMap params = merge_run_params(
-      cli, params_of({{"numa", parse_numa_grid("nodes=4:k=16").at(0)}}));
+      cli, params_of({{"numa", "4"}, {"numa-k", "16"}}));
   std::shared_ptr<Topology> topo;
   const SmqConfig cfg = make_smq_config(8, params, topo);
   ASSERT_NE(topo, nullptr);
   EXPECT_EQ(topo->num_nodes(), 4u);
   EXPECT_EQ(cfg.numa_weight_k, 16.0);
 
-  params = merge_run_params(
-      cli, params_of({{"numa", parse_numa_grid("nodes=1").at(0)}}));
+  params = merge_run_params(cli, params_of({{"numa", "1"}}));
   std::shared_ptr<Topology> uma;
   make_smq_config(8, params, uma);
   EXPECT_EQ(uma, nullptr);
 }
 
-TEST(NumaGrid, ExpectedInternalFractionFollowsTheParsedSpec) {
+TEST(NumaPoint, ExpectedInternalFractionFollowsTheParsedPoint) {
   // E = 1 without a topology; at 4 threads on 2 nodes, K=1 samples
   // uniformly (E = 1/2) and K=8 gives 2 / (2 + 2/8) = 8/9.
-  const auto e = [](const char* numa, unsigned threads,
+  const auto e = [](const char* nodes, const char* k, unsigned threads,
                     bool exclude_own_queue = false) {
     return expected_internal_fraction(
-        parse_numa(params_of({{"numa", numa}}), threads, 1.0), threads,
-        exclude_own_queue);
+        parse_numa(params_of({{"numa", nodes}, {"numa-k", k}}), threads),
+        threads, exclude_own_queue);
   };
-  EXPECT_DOUBLE_EQ(e("nodes=1,k=1", 4), 1.0);
-  EXPECT_DOUBLE_EQ(e("nodes=2,k=1", 4), 0.5);
-  EXPECT_NEAR(e("nodes=2,k=8", 4), 8.0 / 9.0, 1e-12);
+  EXPECT_DOUBLE_EQ(e("1", "1", 4), 1.0);
+  EXPECT_DOUBLE_EQ(e("2", "1", 4), 0.5);
+  EXPECT_NEAR(e("2", "8", 4), 8.0 / 9.0, 1e-12);
   // SMQ draws a steal victim among the other threads: one local and two
   // remote candidates per thread, so K=1 gives 1/3 and K=8 gives
   // 1 / (1 + 2/8) = 4/5; at 2 threads every victim is remote.
-  EXPECT_DOUBLE_EQ(e("nodes=1,k=1", 4, true), 1.0);
-  EXPECT_NEAR(e("nodes=2,k=1", 4, true), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(e("nodes=2,k=8", 4, true), 4.0 / 5.0, 1e-12);
-  EXPECT_DOUBLE_EQ(e("nodes=2,k=8", 2, true), 0.0);
+  EXPECT_DOUBLE_EQ(e("1", "1", 4, true), 1.0);
+  EXPECT_NEAR(e("2", "1", 4, true), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(e("2", "8", 4, true), 4.0 / 5.0, 1e-12);
+  EXPECT_DOUBLE_EQ(e("2", "8", 2, true), 0.0);
 }
 
 }  // namespace

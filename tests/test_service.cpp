@@ -455,7 +455,7 @@ TEST(ServiceFactory, SmqFamiliesDefaultToNoProbabilisticSteal) {
   EXPECT_EQ(service_params("smq", params_of({{"p-steal", "1/8"}}))
                 .get("p-steal"),
             "1/8");
-  EXPECT_FALSE(service_params("smq-p8", ParamMap{}).has("p-steal"));
+  EXPECT_FALSE(service_params("smq-p16", ParamMap{}).has("p-steal"));
   EXPECT_FALSE(service_params("mq-opt", ParamMap{}).has("p-steal"));
 }
 

@@ -106,20 +106,43 @@ TEST(SuiteRegistry, RunLabelsDeriveFromSchedulerAndParams) {
 
 // ---- golden expansions ----------------------------------------------------
 
+/// Every speedup figure's first row: the classic MQ (`mq`) pinned at
+/// C = 4 under the paper's baseline label.
+void expect_mq_baseline(const SuiteRun& run) {
+  EXPECT_EQ(run.scheduler, "mq");
+  EXPECT_EQ(run.params.entries(), params_of({{"c", "4"}}).entries());
+  EXPECT_EQ(suite_run_label(run), "mq-c4 (baseline)");
+}
+
+/// The SMQ ablation key at p_steal = 1/`denom`: the preset, or at the
+/// base key's default D = 8 the base key itself.
+std::string smq_ablation_key(const std::string& base,
+                             const std::string& preset, int denom) {
+  return denom == 8 ? base : preset + std::to_string(denom);
+}
+
 TEST(SuiteExpansion, Fig1IsThePStealStealSizeGrid) {
   const SuiteDef* suite = find_suite("fig1");
   ASSERT_NE(suite, nullptr);
   EXPECT_EQ(suite->algo, "sssp");
   EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
   ASSERT_EQ(suite->runs.size(), 25u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");  // the figures' baseline
+  expect_mq_baseline(suite->runs[0]);  // the figures' baseline
   std::vector<Tuple> expected;
+  std::vector<std::string> labels;
   for (const int denom : {2, 4, 8, 16, 32, 64}) {
     for (const char* size : {"1", "4", "16", "64"}) {
-      expected.emplace_back("smq-p" + std::to_string(denom), size);
+      expected.emplace_back(smq_ablation_key("smq", "smq-p", denom), size);
+      labels.push_back("smq-p" + std::to_string(denom) +
+                       "/steal-size=" + size);
     }
   }
   EXPECT_EQ(grid_of(*suite, "steal-size"), expected);
+  for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
+  }
+  // The D = 8 rows pin p_steal = 1/8 on smq, as the preset did.
+  EXPECT_EQ(suite->runs[9].params.get("p-steal"), "1/8");
 }
 
 TEST(SuiteExpansion, Fig3_6IsTheObimPmodDeltaChunkGrid) {
@@ -127,7 +150,7 @@ TEST(SuiteExpansion, Fig3_6IsTheObimPmodDeltaChunkGrid) {
   ASSERT_NE(suite, nullptr);
   EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
   ASSERT_EQ(suite->runs.size(), 37u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  expect_mq_baseline(suite->runs[0]);
   std::vector<Tuple> expected;
   for (const char* family : {"obim-d", "pmod-d"}) {
     for (const unsigned shift : {0u, 2u, 4u, 8u, 12u, 16u}) {
@@ -143,13 +166,15 @@ TEST(SuiteExpansion, Fig7_14IsTheStickinessAndBufferDiagonal) {
   const SuiteDef* suite = find_suite("fig7_14");
   ASSERT_NE(suite, nullptr);
   ASSERT_EQ(suite->runs.size(), 13u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  expect_mq_baseline(suite->runs[0]);
   std::vector<std::string> schedulers;
   for (std::size_t i = 1; i < suite->runs.size(); ++i) {
     schedulers.push_back(suite->runs[i].scheduler);
   }
+  // Stickiness p = 1/1 is the classic MQ, kept under its sweep label.
+  EXPECT_EQ(suite_run_label(suite->runs[1]), "mq-tl-p1");
   const std::vector<std::string> expected{
-      "mq-tl-p1",   "mq-tl-p4",   "mq-tl-p16",
+      "mq",         "mq-tl-p4",   "mq-tl-p16",
       "mq-tl-p64",  "mq-tl-p256", "mq-tl-p1024",
       "mq-opt",     "mq-opt",     "mq-opt",
       "mq-opt",     "mq-opt",     "mq-opt"};
@@ -171,7 +196,8 @@ TEST(SuiteExpansion, Fig15_16IsTheOptimizationComboStack) {
   ASSERT_NE(suite, nullptr);
   ASSERT_EQ(suite->runs.size(), 5u);
   // The mq-c4 baseline is the combo with no optimization.
-  const std::vector<std::string> expected{"mq-c4", "mq-tl-p16", "mq-opt",
+  expect_mq_baseline(suite->runs[0]);
+  const std::vector<std::string> expected{"mq", "mq-tl-p16", "mq-opt",
                                           "mq-opt-full", "mq-opt"};
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
@@ -188,16 +214,23 @@ TEST(SuiteExpansion, Fig19_20PairsSkipListAndHeapVariants) {
   const SuiteDef* suite = find_suite("fig19_20");
   ASSERT_NE(suite, nullptr);
   ASSERT_EQ(suite->runs.size(), 31u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  expect_mq_baseline(suite->runs[0]);
   std::vector<Tuple> expected;
-  for (const char* variant : {"smq-sl-p", "smq-p"}) {
+  std::vector<std::string> labels;
+  for (const auto& [base, variant] :
+       {std::pair{"smq-skiplist", "smq-sl-p"}, std::pair{"smq", "smq-p"}}) {
     for (const int denom : {2, 4, 8, 16, 32}) {
       for (const char* size : {"1", "8", "64"}) {
-        expected.emplace_back(variant + std::to_string(denom), size);
+        expected.emplace_back(smq_ablation_key(base, variant, denom), size);
+        labels.push_back(variant + std::to_string(denom) +
+                         "/steal-size=" + size);
       }
     }
   }
   EXPECT_EQ(grid_of(*suite, "steal-size"), expected);
+  for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
+  }
 }
 
 TEST(SuiteExpansion, Table2_3IsTheClassicMqCSweep) {
@@ -207,10 +240,14 @@ TEST(SuiteExpansion, Table2_3IsTheClassicMqCSweep) {
   const std::vector<std::string> expected{"mq-c1", "mq-c2", "mq-c4", "mq-c8",
                                           "mq-c16"};
   for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(suite_run_label(suite->runs[i]), expected[i]) << i;
+    if (i == 2) continue;  // C = 4 is the classic mq's default
     EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
     EXPECT_TRUE(suite->runs[i].params.entries().empty())
         << "the C-sweep lives in the presets, not run params";
   }
+  EXPECT_EQ(suite->runs[2].scheduler, "mq");
+  EXPECT_EQ(suite->runs[2].params.get("c"), "4");
 }
 
 /// The NUMA tables' K axis, in the paper's order.
@@ -223,15 +260,23 @@ TEST(SuiteExpansion, Table16_23IsTheMqComboNumaGrid) {
   EXPECT_EQ(suite->algo, "sssp");
   EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
   ASSERT_EQ(suite->runs.size(), 37u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  expect_mq_baseline(suite->runs[0]);
   EXPECT_FALSE(suite->runs[0].params.has("numa"));
   std::vector<Tuple> expected;
-  for (const char* scheduler : {"mq-tl-p16", "mq-opt", "mq-opt", "mq-opt"}) {
+  std::vector<std::string> labels;
+  for (const auto& [scheduler, combo] :
+       {std::pair{"mq-tl-p16", "TL/TL"}, std::pair{"mq-opt", "TL/B"},
+        std::pair{"mq-opt", "B/TL"}, std::pair{"mq-opt", "B/B"}}) {
     for (const std::string& k : kNumaKs) {
-      expected.emplace_back(scheduler, "nodes=2,k=" + k);
+      expected.emplace_back(scheduler, k);
+      labels.push_back(std::string(combo) + " K=" + k);
     }
   }
-  EXPECT_EQ(grid_of(*suite, "numa"), expected);
+  EXPECT_EQ(grid_of(*suite, "numa-k"), expected);
+  for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite->runs[i].params.get("numa"), "2") << i;
+    EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
+  }
   // The three mq-opt blocks are TL/B, B/TL and B/B at p = 1/16 and
   // buffers of 16, spelled (B, p) insert / (B, p) delete.
   const std::vector<std::vector<std::string>> combos{
@@ -254,16 +299,18 @@ TEST(SuiteExpansion, Table24_27IsTheSmqNumaGrid) {
   EXPECT_EQ(suite->algo, "sssp");
   EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
   ASSERT_EQ(suite->runs.size(), 19u);
-  EXPECT_EQ(suite->runs[0].scheduler, "mq-c4");
+  expect_mq_baseline(suite->runs[0]);
   std::vector<Tuple> expected;
   for (const char* scheduler : {"smq", "smq-skiplist"}) {
     for (const std::string& k : kNumaKs) {
-      expected.emplace_back(scheduler, "nodes=2,k=" + k);
+      expected.emplace_back(scheduler, k);
     }
   }
-  EXPECT_EQ(grid_of(*suite, "numa"), expected);
+  EXPECT_EQ(grid_of(*suite, "numa-k"), expected);
   for (std::size_t i = 1; i < suite->runs.size(); ++i) {
-    EXPECT_EQ(suite->runs[i].params.entries().size(), 1u)
+    EXPECT_EQ(suite->runs[i].params.entries(),
+              params_of({{"numa", "2"}, {"numa-k", kNumaKs[(i - 1) % 9]}})
+                  .entries())
         << "SMQ rows pin only the numa point";
   }
 }
@@ -335,16 +382,18 @@ double row_number(const std::string& json, const std::string& label,
   return std::stod(json.substr(at + key.size() + 4));
 }
 
-/// A NUMA-table row pins its topology through the per-run `numa` param:
-/// at 2 threads the two virtual nodes are built, so the scheduler samples
-/// steal victims through the weighted sampler and the row's JSON carries
-/// the sampled and remote access counts plus the point it ran.
+/// A NUMA-table row pins its topology through the per-run `numa` and
+/// `numa-k` params: at 2 threads the two virtual nodes are built, so the
+/// scheduler samples steal victims through the weighted sampler and the
+/// row's JSON carries the sampled and remote access counts plus the
+/// point it ran.
 TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   const SuiteDef* table = find_suite("table24_27");
   ASSERT_NE(table, nullptr);
   SuiteDef suite = *table;
-  suite.runs = {suite.runs[4]};  // smq at nodes=2,k=8
-  ASSERT_EQ(suite.runs[0].params.get("numa"), "nodes=2,k=8");
+  suite.runs = {suite.runs[4]};  // smq on 2 nodes at K = 8
+  ASSERT_EQ(suite.runs[0].params.get("numa"), "2");
+  ASSERT_EQ(suite.runs[0].params.get("numa-k"), "8");
   SuiteOptions opts;
   opts.threads = {2};
   opts.cli_params.set("vertices", "2000");
@@ -359,10 +408,10 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   ASSERT_NE(key, std::string::npos) << "no sampled accesses:\n" << text;
   EXPECT_GT(std::stoull(text.substr(key + 20)), 0u) << text;
   EXPECT_NE(text.find("\"remote_frac\": "), std::string::npos);
-  // The NUMA columns come from the run's own spec, as on a grid row:
+  // The NUMA columns come from the run's own params, as on a CLI row:
   // at 2 threads on 2 nodes, SMQ's only steal victim is the other thread,
   // on the other node, so E = 0 and every sampled access is remote.
-  const std::string label = "smq/numa=nodes=2,k=8";
+  const std::string label = "smq/numa=2/numa-k=8";
   EXPECT_EQ(row_number(text, label, "numa_nodes"), 2.0) << text;
   EXPECT_EQ(row_number(text, label, "numa_k"), 8.0) << text;
   EXPECT_NEAR(row_number(text, label, "internal_frac_expected"), 0.0, 1e-9)
@@ -374,9 +423,9 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   // victim choice: the K=64 row stays on its node far more than K=1.
   SuiteDef k_axis = *table;
   k_axis.runs = {table->runs[1], table->runs[4], table->runs[7]};
-  ASSERT_EQ(k_axis.runs[0].params.get("numa"), "nodes=2,k=1");
-  ASSERT_EQ(k_axis.runs[1].params.get("numa"), "nodes=2,k=8");
-  ASSERT_EQ(k_axis.runs[2].params.get("numa"), "nodes=2,k=64");
+  ASSERT_EQ(k_axis.runs[0].params.get("numa-k"), "1");
+  ASSERT_EQ(k_axis.runs[1].params.get("numa-k"), "8");
+  ASSERT_EQ(k_axis.runs[2].params.get("numa-k"), "64");
   opts.threads = {4};
   opts.cli_params.set("vertices", "4000");
   opts.cli_params.set("numa-k", "1");
@@ -384,17 +433,17 @@ TEST(SuiteRunner, NumaSuiteRowReachesTheScheduler) {
   ASSERT_EQ(run_suite(k_axis, opts, k_out, err), 0) << err.str();
   const std::string k_text = k_out.str();
   const double uniform =
-      row_number(k_text, "smq/numa=nodes=2,k=1", "remote_frac");
+      row_number(k_text, "smq/numa=2/numa-k=1", "remote_frac");
   const double weighted =
-      row_number(k_text, "smq/numa=nodes=2,k=64", "remote_frac");
+      row_number(k_text, "smq/numa=2/numa-k=64", "remote_frac");
   ASSERT_FALSE(std::isnan(uniform) || std::isnan(weighted)) << k_text;
   EXPECT_LT(weighted, uniform / 2) << k_text;
-  EXPECT_EQ(row_number(k_text, "smq/numa=nodes=2,k=64", "numa_k"), 64.0)
+  EXPECT_EQ(row_number(k_text, "smq/numa=2/numa-k=64", "numa_k"), 64.0)
       << k_text;
   // The analytic E is what the victim sampler measures: 1 - E is the
   // remote fraction of victims drawn among the other three threads.
   for (const char* k : {"1", "8", "64"}) {
-    const std::string row = std::string("smq/numa=nodes=2,k=") + k;
+    const std::string row = std::string("smq/numa=2/numa-k=") + k;
     const double expected = row_number(k_text, row, "internal_frac_expected");
     const double remote = row_number(k_text, row, "remote_frac");
     EXPECT_NEAR(remote, 1.0 - expected, 0.05) << row << "\n" << k_text;
@@ -421,49 +470,28 @@ TEST(SuiteRunner, RunGridParamsWinOverCliTunables) {
 
 // ---- the ad-hoc sweep as an unnamed suite ---------------------------------
 
-TEST(SweepSuite, GridCrossesNumaSchedulersAndRunsTheRestOnce) {
-  std::ostringstream err;
-  const SuiteDef suite =
-      sweep_suite("smq,sequential,mq", "nodes=1,2:k=1,8", err);
+TEST(SweepSuite, PlainSweepIsOneUnpinnedRunPerScheduler) {
+  const SuiteDef suite = sweep_suite("smq,auto");
   EXPECT_TRUE(suite.name.empty());
   EXPECT_EQ(suite.threads, std::vector<unsigned>{4});
-  EXPECT_EQ(suite.numa_grid, "nodes=1,2:k=1,8");
-  const std::vector<Tuple> expected{
-      {"smq", "nodes=1,k=1"}, {"smq", "nodes=2,k=1"}, {"smq", "nodes=2,k=8"},
-      {"sequential", ""},     {"mq", "nodes=1,k=1"},  {"mq", "nodes=2,k=1"},
-      {"mq", "nodes=2,k=8"}};
-  EXPECT_EQ(grid_of(suite, "numa", 0), expected);
+  EXPECT_EQ(grid_of(suite, "numa", 0),
+            (std::vector<Tuple>{{"smq", ""}, {"auto", ""}}));
   for (const SuiteRun& run : suite.runs) {
     EXPECT_EQ(suite_run_label(run), run.scheduler);
   }
-  EXPECT_NE(err.str().find("'sequential' takes no numa tunable"),
-            std::string::npos)
-      << err.str();
-}
-
-TEST(SweepSuite, PlainSweepIsOneUnpinnedRunPerScheduler) {
-  std::ostringstream err;
-  const SuiteDef suite = sweep_suite("smq,auto", "", err);
-  EXPECT_EQ(grid_of(suite, "numa", 0),
-            (std::vector<Tuple>{{"smq", ""}, {"auto", ""}}));
-  EXPECT_TRUE(suite.numa_grid.empty());
-  EXPECT_TRUE(err.str().empty()) << err.str();
-  EXPECT_EQ(sweep_suite("all", "", err).runs.size(),
+  EXPECT_EQ(sweep_suite("all").runs.size(),
             SchedulerRegistry::instance().names().size());
 }
 
-TEST(SweepSuite, RejectsUnknownSchedulersBadGridsAndAutoOnAGrid) {
-  std::ostringstream err;
+TEST(SweepSuite, RejectsUnknownSchedulers) {
   try {
-    sweep_suite("smq,smq-p9", "", err);
+    sweep_suite("smq,smq-p9");
     ADD_FAILURE() << "unknown scheduler accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("did you mean 'smq-p"),
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(sweep_suite("auto", "k=1,8", err), std::invalid_argument);
-  EXPECT_THROW(sweep_suite("smq", "cores=2", err), std::invalid_argument);
 }
 
 TEST(SweepSuite, PlainSweepJsonHasNoSuiteOrNumaKeys) {
@@ -473,37 +501,71 @@ TEST(SweepSuite, PlainSweepJsonHasNoSuiteOrNumaKeys) {
   opts.cli_params.set("vertices", "300");
   opts.json_path = "-";
   std::ostringstream out;
-  ASSERT_EQ(run_suite(sweep_suite("smq,mq", "", err), opts, out, err), 0)
+  ASSERT_EQ(run_suite(sweep_suite("smq,mq"), opts, out, err), 0)
       << err.str();
   const std::string text = out.str();
   EXPECT_EQ(text.find("\"suite\""), std::string::npos) << text;
   EXPECT_EQ(text.find("suite:"), std::string::npos) << text;
-  EXPECT_EQ(text.find("\"numa_grid\""), std::string::npos) << text;
   EXPECT_EQ(text.find("\"numa_nodes\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"numa_k\""), std::string::npos) << text;
   EXPECT_EQ(text.find("\"preset\""), std::string::npos) << text;
   EXPECT_EQ(count_of(text, "\"scheduler\": \"smq\""), 1u);
   EXPECT_EQ(count_of(text, "\"scheduler\": \"mq\""), 1u);
   EXPECT_EQ(count_of(text, "\"valid\": true"), 2u) << text;
 }
 
-TEST(SweepSuite, GridRowsCarryTheirPointAndSkipNonNumaSchedulers) {
+/// A NUMA point set on the command line reaches the row's JSON as it
+/// reaches the scheduler: node count, K and E for the schedulers that
+/// take K, the node count alone for OBIM, nothing for a scheduler that
+/// takes no `numa`.
+TEST(SweepSuite, CliNumaRowsReportThePointTheyRan) {
   std::ostringstream err;
   SuiteOptions opts;
   opts.threads = {2};
-  opts.cli_params.set("vertices", "300");
+  opts.cli_params.set("vertices", "2000");
+  opts.cli_params.set("numa", "2");
+  opts.cli_params.set("numa-k", "8");
   opts.json_path = "-";
   std::ostringstream out;
-  const SuiteDef suite = sweep_suite("smq,sequential", "k=1,8", err);
-  ASSERT_EQ(run_suite(suite, opts, out, err), 0) << err.str();
+  ASSERT_EQ(run_suite(sweep_suite("smq,mq,obim,sequential"), opts, out, err),
+            0)
+      << err.str();
   const std::string text = out.str();
-  EXPECT_NE(text.find("\"numa_grid\": \"k=1,8\""), std::string::npos);
-  EXPECT_EQ(count_of(text, "\"scheduler\": \"smq\""), 2u) << text;
-  EXPECT_EQ(count_of(text, "\"scheduler\": \"sequential\""), 1u) << text;
-  EXPECT_EQ(count_of(text, "\"numa_nodes\": 2"), 2u) << text;
-  EXPECT_EQ(count_of(text, "\"numa_k\": 1,"), 1u) << text;
-  EXPECT_EQ(count_of(text, "\"numa_k\": 8,"), 1u) << text;
-  EXPECT_EQ(count_of(text, "\"internal_frac_expected\": "), 2u) << text;
-  EXPECT_EQ(text.find("\"valid\": false"), std::string::npos) << text;
+  for (const char* row : {"smq", "mq"}) {
+    SCOPED_TRACE(row);
+    EXPECT_EQ(row_number(text, row, "numa_nodes"), 2.0) << text;
+    EXPECT_EQ(row_number(text, row, "numa_k"), 8.0) << text;
+    const double expected = row_number(text, row, "internal_frac_expected");
+    EXPECT_GE(expected, 0.0) << text;
+    EXPECT_LE(expected, 1.0) << text;
+    // On two nodes the measured remote fraction is 1 - E.
+    EXPECT_NEAR(row_number(text, row, "remote_frac"), 1.0 - expected, 0.05)
+        << text;
+  }
+  EXPECT_EQ(row_number(text, "obim", "numa_nodes"), 2.0) << text;
+  EXPECT_TRUE(std::isnan(row_number(text, "obim", "numa_k"))) << text;
+  EXPECT_TRUE(std::isnan(row_number(text, "sequential", "numa_nodes")))
+      << text;
+  EXPECT_EQ(count_of(text, "\"valid\": true"), 4u) << text;
+}
+
+/// A malformed NUMA point is a configuration error (exit 2) before any
+/// row runs, never a silent UMA run.
+TEST(SweepSuite, MalformedNumaPointIsAConfigurationError) {
+  for (const auto& [key, value] :
+       {std::pair{"numa", "2,k=8"}, std::pair{"numa", "banana"},
+        std::pair{"numa-k", "0"}}) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    SuiteOptions opts;
+    opts.threads = {2};
+    opts.cli_params.set("vertices", "300");
+    opts.cli_params.set(key, value);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_suite(sweep_suite("mq"), opts, out, err), 2);
+    EXPECT_NE(err.str().find(key), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << "ran before rejecting:\n" << out.str();
+  }
 }
 
 TEST(SweepSuite, AutoRowsReportARegisteredPresetPerThreadCount) {
@@ -513,7 +575,7 @@ TEST(SweepSuite, AutoRowsReportARegisteredPresetPerThreadCount) {
   opts.cli_params.set("vertices", "2000");
   opts.json_path = "-";
   std::ostringstream out;
-  ASSERT_EQ(run_suite(sweep_suite("auto", "", err), opts, out, err), 0)
+  ASSERT_EQ(run_suite(sweep_suite("auto"), opts, out, err), 0)
       << err.str();
   const std::string text = out.str();
   EXPECT_EQ(count_of(text, "\"scheduler\": \"auto\""), 2u) << text;

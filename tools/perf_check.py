@@ -10,8 +10,8 @@ Usage:
 A baseline file is either a single smq_run report (object) or a list of
 reports — one per pinned sweep (e.g. sssp and bfs). Every --current file
 contributes one report (or a list); rows are matched on the sweep
-identity (algorithm, graph, numa grid — taken from the row's report)
-plus (scheduler, threads, dispatch[, numa point]), so several sweeps of
+identity (algorithm, graph, suite — taken from the row's report) plus
+(scheduler, threads, dispatch[, numa point]), so several sweeps of
 the same algorithm can be gated side by side. The compared metric is
 `speedup_vs_seq` (parallel throughput normalized by the sequential
 oracle measured *in the same run*), which cancels out absolute machine
@@ -33,13 +33,12 @@ import sys
 
 def sweep_id(report):
     """What distinguishes one pinned sweep from another: the algorithm,
-    the resolved graph, the NUMA grid (if any), and the figure suite (if
-    any) — suites share rows like the MQ baseline, which must not
-    collide when two suite reports are gated side by side."""
+    the resolved graph and the figure suite (if any) — suites share rows
+    like the MQ baseline, which must not collide when two suite reports
+    are gated side by side."""
     return (
         report.get("algorithm", "?"),
         report.get("graph", {}).get("name", "?"),
-        report.get("numa_grid", ""),
         report.get("suite", ""),
     )
 

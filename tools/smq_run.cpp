@@ -10,21 +10,21 @@
 //   smq_run --sched all --algo sssp --graph road --vertices 20000
 //           --threads 1,4 --reps 3 --json results.json
 //   smq_run --sched smq,mq-opt --batch-size 64 --graph-cache /tmp/graphs
-//   smq_run --sched smq --algo sssp --numa-grid nodes=1,2,4:k=1,4,8,16
+//   smq_run --sched smq,mq --algo sssp --numa 2 --numa-k 8 --json -
 //   smq_run --suite fig3_6 --threads 4 --json fig3_6.json
 //
 // Scheduler/algorithm/graph tunables (see --list) are passed as plain
-// --key value options: --sched smq --steal-size 4 --p-steal 1/8 --numa k=8
+// --key value options: --sched smq --steal-size 4 --p-steal 1/8
 //
 // Every sweep is a suite run by registry/suite_runner.h. --suite picks
 // one of the paper's figure sweeps (registry/suites.h), which pins its
 // scheduler presets and per-run params; the CLI still controls
 // graph/threads/reps. --sched a,b[,auto] is expanded by sweep_suite()
-// into an unnamed suite with one run per scheduler; --numa-grid
-// (virtual node counts x remote-weight divisors K, Section 4 / Tables
-// 16-27) crosses those runs with one pinned `numa` point each, and every
-// such row reports the measured remote-access fraction next to the
-// analytic expectation E.
+// into an unnamed suite with one run per scheduler. The simulated NUMA
+// point (Section 4) is two tunables: --numa N virtual nodes and --numa-k
+// K; a row that sets --numa reports N, K, the analytic internal fraction
+// E and the measured remote-access fraction. The K ablation of Tables
+// 16-27 is `--suite table16_23` / `--suite table24_27`.
 //
 // Every run goes through the executor's one batched loop, behind
 // AnyScheduler's erased per-thread handle: --batch-size N (default 1)
@@ -66,7 +66,7 @@ std::vector<std::string> known_flags() {
   std::vector<std::string> known = {
       "help",       "h",         "list",      "suite",    "sched",
       "algo",       "graph",     "threads",   "reps",     "json",
-      "no-validate", "dispatch", "batch-size", "numa-grid", "graph-cache",
+      "no-validate", "dispatch", "batch-size", "graph-cache",
       "service",    "qps",       "queries",   "lanes",    "query-seed"};
   const auto add = [&known](const std::vector<Tunable>& tunables) {
     for (const Tunable& t : tunables) known.push_back(t.name);
@@ -96,6 +96,7 @@ bool check_flags(const ArgParser& args) {
       ok = false;
     }
   }
+  if (!ok) std::cerr << "see smq_run --help and --list\n";
   return ok;
 }
 
@@ -247,8 +248,7 @@ int run(int argc, char** argv) {
            "[--json PATH|-]\n"
            "               [--no-validate] [--batch-size N] "
            "[--dispatch static]\n"
-           "               [--numa-grid nodes=N,..:k=K,..] "
-           "[--graph-cache DIR]\n"
+           "               [--numa N [--numa-k K]] [--graph-cache DIR]\n"
            "               [--service [--qps R] [--queries N] [--lanes N] "
            "[--query-seed S]]\n"
            "               [--<tunable> VALUE ...]\n\n"
@@ -258,15 +258,17 @@ int run(int argc, char** argv) {
            "with its tunables. `--suite NAME` runs one of\nthe paper's "
            "figure sweeps through the same runner as `--sched`: the suite\n"
            "pins its scheduler presets and per-run params, which win over "
-           "CLI tunables\n(a pinned `numa` also drops --numa-k); --threads, "
-           "--reps, --graph, --algo\nand graph tunables still apply. "
+           "CLI tunables;\n--threads, --reps, --graph, --algo and graph "
+           "tunables still apply. "
            "`--batch-size N` sets the tasks per scheduler\ncall (default 1); "
            "`--dispatch static` runs the concrete scheduler without\ntype "
            "erasure; `--graph-cache DIR` caches generated graphs as binary "
            "CSR keyed\nby their parameters so repeated sweeps skip "
-           "generation; `--numa-grid` crosses\nthe sweep with "
-           "simulated-NUMA grid points (nodes x K), each row reporting\nits "
-           "measured remote-access fraction.\n\n"
+           "generation.\n\n"
+           "`--numa N` runs on N simulated NUMA nodes and `--numa-k K` sets "
+           "the remote\nweight K (see --list); such rows report N, K, the "
+           "analytic internal fraction E\nand the measured remote fraction. "
+           "`--suite table16_23` and `table24_27` sweep K.\n\n"
            "`--sched auto` picks, per thread count, the compiled-in row for "
            "this (graph\nclass, algorithm) with the largest min_threads <= "
            "threads, or `smq` when\nno row matches (`--list` prints the "
@@ -289,11 +291,10 @@ int run(int argc, char** argv) {
 
   // ---- service mode ----------------------------------------------------
   // A persistent worker pool serving the query stream; none of the
-  // sweep axes below (static dispatch, numa grids) apply to it.
+  // sweep axes below (static dispatch, suites) apply to it.
   if (args.has_flag("service")) {
-    if (args.has_flag("suite") || args.has_flag("numa-grid")) {
-      std::cerr << "--service cannot be combined with --suite or "
-                   "--numa-grid\n";
+    if (args.has_flag("suite")) {
+      std::cerr << "--service cannot be combined with --suite\n";
       return 2;
     }
     return run_service_mode(args);
@@ -302,17 +303,10 @@ int run(int argc, char** argv) {
   // ---- sweeps -----------------------------------------------------------
   // A figure suite, or the ad-hoc --sched sweep expanded into an unnamed
   // one: either way the shared runner measures, validates and emits.
-  if (args.has_flag("suite")) {
-    if (args.has_flag("numa-grid")) {
-      std::cerr << "--suite and --numa-grid cannot be combined (suites pin "
-                   "their own sweep axes)\n";
-      return 2;
-    }
-    if (args.has_flag("sched")) {
-      std::cerr << "--suite and --sched cannot be combined (the suite "
-                   "names its schedulers)\n";
-      return 2;
-    }
+  if (args.has_flag("suite") && args.has_flag("sched")) {
+    std::cerr << "--suite and --sched cannot be combined (the suite names "
+                 "its schedulers)\n";
+    return 2;
   }
   const std::optional<SuiteOptions> opts =
       parse_suite_options(args, std::cerr);
@@ -327,8 +321,7 @@ int run(int argc, char** argv) {
     suite = *named;
   } else {
     try {
-      suite = sweep_suite(args.get("sched", "smq"), args.get("numa-grid"),
-                          std::cerr);
+      suite = sweep_suite(args.get("sched", "smq"));
     } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";
       return 2;
