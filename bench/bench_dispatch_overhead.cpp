@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::cout << "=== dispatch overhead: SSSP / " << graph.name << " / "
             << threads << " threads, best of " << reps << " ===\n\n";
 
-  // The static-dispatch families plus mq, the classic MQ preset.
+  // Every key with a static-dispatch row.
   const std::vector<std::string> schedulers{"smq",    "smq-skiplist", "mq",
                                             "mq-opt", "obim",         "pmod"};
   std::vector<Row> rows;

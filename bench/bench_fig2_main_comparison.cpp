@@ -4,7 +4,7 @@
 // shared suite runner, so every row is checked against the sequential
 // oracle and reports work increase and speedup over sequential Dijkstra
 // in the same table/JSON as `smq_run --suite`. The contenders are every
-// registered multi-threaded scheduler family plus a tuned SMQ whose
+// registered multi-threaded scheduler plus a tuned SMQ whose
 // parameters mirror the paper's Table 12; the first row, classic MQ
 // with C = 4, is the paper's baseline, and its T=1 row is Figure 2's
 // normalizer.
@@ -111,10 +111,9 @@ SuiteDef make_suite(const Workload& w, const std::vector<unsigned>& threads) {
   d.runs.push_back({"smq", tuned_smq_params(w), "smq (tuned)"});
   const bool numa = *std::max_element(threads.begin(), threads.end()) >= 4;
   for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
-    // Presets are the ablation grids of the other suites (the classic
-    // MQ is one: the baseline row runs it at C = 4); the sequential
+    // The classic MQ is the baseline row at C = 4; the sequential
     // baseline is every row's reference.
-    if (!entry.family.empty() || entry.max_threads == 1) continue;
+    if (entry.name == "mq" || entry.max_threads == 1) continue;
     SuiteRun run{entry.name, {}, ""};
     if (entry.name == "smq" || entry.name == "mq-opt") {
       if (numa) run.params = params_of({{"numa", "2"}, {"numa-k", "8"}});

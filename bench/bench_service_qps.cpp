@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("queries", 150));
   const int reps = static_cast<int>(args.get_int("reps", 3));
   // One registry key, checked before the graph is built. `auto` picks a
-  // preset per graph and algorithm, which smq_run's service mode does.
+  // key and params per graph and algorithm, which smq_run's service
+  // mode does.
   const std::string sched_name = args.get("sched", "smq");
   if (sched_name == tuning::kAutoSchedulerName) {
     std::cerr << "--sched auto is resolved by `smq_run --service --sched "

@@ -22,12 +22,13 @@
 //    drawing a coin, so p = 1 is the classic random choice. A failed
 //    try-lock (and, on delete, an empty queue) always re-samples.
 //
-// Written (B, p) insert / (B, p) delete, the registry keys are:
-//   mq, mq-c<C>   (1, 1)   / (1, 1)     the classic MQ
-//   mq-tl-p<D>    (1, 1/D) / (1, 1/D)   temporal locality on both sides
-//   mq-opt        (16, 1)  / (16, 1)    batching on both sides
-//   mq-opt-full   (16, 1)  / (1, 1/16)  insert batching, delete locality
-// and the paper's fourth combo, TL/B, is mq-opt at (1, 1/16) / (16, 1).
+// Written (B, p) insert / (B, p) delete, the two registry keys and the
+// paper's combos on them (figure-suite labels in parentheses) are:
+//   mq      (1, 1)    / (1, 1)     the classic MQ (mq-c<C>)
+//   mq-opt  (16, 1)   / (16, 1)    B/B: batching on both sides (defaults)
+//   mq-opt  (1, 1/D)  / (1, 1/D)   TL/TL: temporal locality (mq-tl-p<D>)
+//   mq-opt  (16, 1)   / (1, 1/16)  B/TL (mq-opt-full)
+//   mq-opt  (1, 1/16) / (16, 1)    TL/B
 // The paper sweeps p over {1/1, ..., 1/1024} and B over {1, ..., 1024}.
 //
 // Both optimizations are per-thread-state tricks (insert/delete buffers,

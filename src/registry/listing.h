@@ -23,12 +23,13 @@ inline void print_registry_listing(std::ostream& os) {
   os << "schedulers:\n";
   // The pseudo-scheduler first: not a registry entry (it resolves to
   // one), but it is a valid --sched value and must be discoverable.
-  os << "  auto - the preset measured best for this (graph class, "
-        "algorithm, threads);\n         '"
-     << tuning::kDefaultPreset << "' for every key without a row:\n";
+  os << "  auto - the configuration measured best for this (graph "
+        "class, algorithm,\n         threads); '"
+     << tuning::kDefaultScheduler << "' for every key without a row:\n";
   for (const tuning::AutoRow& row : tuning::auto_rows()) {
     os << "      " << tuning::to_string(row.cls) << '/' << row.algorithm
-       << " from " << row.min_threads << "t -> " << row.preset << ": "
+       << " from " << row.min_threads << "t -> "
+       << config_label(row.scheduler, row.params) << ": "
        << row.measured << "\n";
   }
   for (const SchedulerEntry& e : SchedulerRegistry::instance().entries()) {

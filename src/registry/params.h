@@ -3,12 +3,15 @@
 // metadata every registry entry publishes for `smq_run --list`).
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,39 +45,42 @@ class ParamMap {
     return it == kv_.end() ? fallback : it->second;
   }
 
+  // The typed getters return `fallback` for an unset or empty key and
+  // throw std::invalid_argument naming the key unless the whole value
+  // parses: "16x" or "1e6" as an integer, "banana" or "1/0" as a
+  // probability would otherwise run silently as a prefix or as 0.
+
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() || it->second.empty()
-               ? fallback
-               : std::strtoll(it->second.c_str(), nullptr, 10);
+    return get_number(key, fallback, "an integer");
   }
 
   std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() || it->second.empty()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return get_number(key, fallback, "a non-negative integer");
   }
 
   double get_double(const std::string& key, double fallback) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() || it->second.empty()
-               ? fallback
-               : std::strtod(it->second.c_str(), nullptr);
+    return get_number(key, fallback, "a number");
   }
 
   /// Probabilities appear both as decimals ("0.125") and as the paper's
-  /// fraction notation ("1/8").
+  /// fraction notation ("1/8"), and must lie in [0, 1].
   double get_probability(const std::string& key, double fallback) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end() || it->second.empty()) return fallback;
-    const std::string& v = it->second;
-    if (const auto slash = v.find('/'); slash != std::string::npos) {
-      const double num = std::strtod(v.substr(0, slash).c_str(), nullptr);
-      const double den = std::strtod(v.substr(slash + 1).c_str(), nullptr);
-      return den == 0 ? fallback : num / den;
+    const std::string v = get(key);
+    if (v.empty()) return fallback;
+    const std::string_view text = v;
+    const auto slash = text.find('/');
+    double p = 0;
+    double den = 1;
+    const bool parsed =
+        slash == std::string_view::npos
+            ? parse_whole(text, p)
+            : parse_whole(text.substr(0, slash), p) &&
+                  parse_whole(text.substr(slash + 1), den) && den != 0;
+    if (parsed) p /= den;
+    if (!parsed || !(p >= 0 && p <= 1)) {
+      throw_malformed(key, "a probability in [0, 1] (0.125 or 1/8)");
     }
-    return std::strtod(v.c_str(), nullptr);
+    return p;
   }
 
   const std::map<std::string, std::string>& entries() const { return kv_; }
@@ -85,6 +91,32 @@ class ParamMap {
   static ParamMap from_args(const ArgParser& args);
 
  private:
+  /// Whether all of `text` is one finite number of type T.
+  template <typename T>
+  static bool parse_whole(std::string_view text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if constexpr (std::is_floating_point_v<T>) {
+      if (ec == std::errc() && !std::isfinite(out)) return false;
+    }
+    return ec == std::errc() && ptr == end;
+  }
+
+  template <typename T>
+  T get_number(const std::string& key, T fallback, const char* kind) const {
+    const auto it = kv_.find(key);
+    if (it == kv_.end() || it->second.empty()) return fallback;
+    T value{};
+    if (!parse_whole(it->second, value)) throw_malformed(key, kind);
+    return value;
+  }
+
+  [[noreturn]] void throw_malformed(const std::string& key,
+                                    const char* kind) const {
+    throw std::invalid_argument(key + " takes " + kind + ", got '" + get(key) +
+                                "'");
+  }
+
   std::map<std::string, std::string> kv_;
 };
 
@@ -95,6 +127,17 @@ inline ParamMap params_of(
   ParamMap params;
   for (const auto& [key, value] : kvs) params.set(key, value);
   return params;
+}
+
+/// The display name of a configuration: `scheduler` with each of
+/// `params` appended as "/key=value" ("obim/chunk-size=64").
+inline std::string config_label(std::string_view scheduler,
+                                const ParamMap& params) {
+  std::string label(scheduler);
+  for (const auto& [key, value] : params.entries()) {
+    label += "/" + key + "=" + value;
+  }
+  return label;
 }
 
 }  // namespace smq

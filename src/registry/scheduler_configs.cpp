@@ -12,9 +12,10 @@ namespace smq {
 
 namespace {
 
-/// A size knob (a batch or chunk length) as a size_t. Casting a value
-/// below 1 would yield an empty batch that starves every pop, or a huge
-/// size_t, so it is rejected naming the knob.
+/// A size knob (a batch or chunk length, or the queues per thread `c`)
+/// as a size_t. Casting a value below 1 would yield an empty batch that
+/// starves every pop, no queue of one's own, or a huge size_t, so it is
+/// rejected naming the knob.
 std::size_t size_knob(const ParamMap& params, const std::string& key,
                       std::int64_t fallback) {
   const std::int64_t value = params.get_int(key, fallback);
@@ -93,7 +94,7 @@ OptimizedMqConfig make_optimized_mq_config(unsigned threads,
                                            std::shared_ptr<Topology>& topology) {
   const NumaOptions numa = build_topology(params, threads, topology);
   OptimizedMqConfig cfg;
-  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 4));
+  cfg.queue_multiplier = static_cast<unsigned>(size_knob(params, "c", 4));
   cfg.insert_batch = size_knob(params, "insert-batch", 16);
   cfg.p_insert_change = params.get_probability("p-insert", 1.0);
   cfg.delete_batch = size_knob(params, "delete-batch", 16);
@@ -104,11 +105,22 @@ OptimizedMqConfig make_optimized_mq_config(unsigned threads,
   return cfg;
 }
 
+OptimizedMqConfig make_classic_mq_config(unsigned threads,
+                                         const ParamMap& params,
+                                         std::shared_ptr<Topology>& topology) {
+  ParamMap classic = params;
+  for (const char* key :
+       {"insert-batch", "p-insert", "delete-batch", "p-delete"}) {
+    classic.set(key, "1");
+  }
+  return make_optimized_mq_config(threads, classic, topology);
+}
+
 ReldConfig make_reld_config(unsigned threads, const ParamMap& params,
                             std::shared_ptr<Topology>& topology) {
   const NumaOptions numa = build_topology(params, threads, topology);
   ReldConfig cfg;
-  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 1));
+  cfg.queue_multiplier = static_cast<unsigned>(size_knob(params, "c", 1));
   cfg.seed = params.get_uint("seed", 1);
   cfg.topology = topology.get();
   cfg.numa_weight_k = numa.k;

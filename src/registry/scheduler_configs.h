@@ -51,12 +51,19 @@ const std::vector<Tunable>& numa_tunables();
 
 // Each builder fills `topology` (possibly with nullptr) with the object
 // its returned config points into, and throws std::invalid_argument
-// naming the knob when a size knob (a batch or chunk length) is below 1.
+// naming the knob when a size knob (a batch or chunk length, or the
+// queues per thread `c`) is below 1 or a numeric knob does not parse.
 SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
                           std::shared_ptr<Topology>& topology);
 OptimizedMqConfig make_optimized_mq_config(unsigned threads,
                                            const ParamMap& params,
                                            std::shared_ptr<Topology>& topology);
+/// The classic Multi-Queue (paper Listing 1): the optimized MQ at
+/// (B, p) = (1, 1) on both sides, whatever `params` say of those knobs,
+/// so only `c`, `seed` and the NUMA point apply (and are all `mq` takes).
+OptimizedMqConfig make_classic_mq_config(unsigned threads,
+                                         const ParamMap& params,
+                                         std::shared_ptr<Topology>& topology);
 ReldConfig make_reld_config(unsigned threads, const ParamMap& params,
                             std::shared_ptr<Topology>& topology);
 ObimConfig make_obim_config(unsigned threads, const ParamMap& params,

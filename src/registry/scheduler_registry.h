@@ -1,12 +1,13 @@
 // String-keyed scheduler factory registry.
 //
-// Every scheduler family in src/queues/ and src/core/ registers itself
-// under a stable name ("smq", "obim", ...) with a one-line description,
-// its tunables, and a factory that parses a ParamMap into the family's
-// config struct and returns a type-erased AnyScheduler. This is the
-// single place the scheduler x config matrix lives; the run driver,
-// benches, examples and tests all enumerate it instead of hand-listing
-// template instantiations.
+// Every scheduler in src/queues/ and src/core/ registers itself under
+// one stable name ("smq", "obim", ...) with a one-line description, its
+// tunables, and a factory that parses a ParamMap into its config struct
+// and returns a type-erased AnyScheduler. A grid point of the paper's
+// evaluation is a key plus params ("obim" at delta-shift 4), never a
+// key of its own; the run driver, benches, examples and tests all
+// enumerate this registry instead of hand-listing template
+// instantiations.
 #pragma once
 
 #include <algorithm>
@@ -28,32 +29,12 @@ struct SchedulerEntry {
   std::vector<Tunable> tunables;
   std::function<AnyScheduler(unsigned threads, const ParamMap&)> make;
 
-  // Presets: a preset entry is a config family plus a fixed knob
-  // assignment. `family` names the base entry whose factory (and static
-  // dispatch row, if any) the preset reuses; empty for base entries.
-  // `pinned` knobs always win over caller params (that is what makes the
-  // key a preset); `defaults` fill in only when the caller left the key
-  // unset. Both the virtual factory and the static-dispatch path resolve
-  // params through resolve_preset_params(), so the two cannot drift.
-  std::string family = {};
-  ParamMap pinned = {};
-  ParamMap defaults = {};
-
   /// Whether the entry registers the tunable `name`.
   bool takes(std::string_view name) const {
     return std::ranges::any_of(
         tunables, [name](const Tunable& t) { return t.name == name; });
   }
 };
-
-/// `params` with `defaults` filled in where unset and `pinned` forced.
-ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
-                               const ParamMap& pinned);
-
-/// `params` with the entry's preset defaults filled in and its pinned
-/// knobs forced. Identity for base (non-preset) entries.
-ParamMap resolve_preset_params(const SchedulerEntry& entry,
-                               const ParamMap& params);
 
 class SchedulerRegistry : public NamedRegistry<SchedulerEntry> {
  public:

@@ -1,9 +1,8 @@
 // The erased service boundary: build a QueryService over any registered
-// scheduler (presets included) by name, the way smq_run and the benches
-// resolve every other axis. One SchedulerService<AnyScheduler>
-// instantiation serves the whole registry; static instantiation of a
-// concrete SchedulerService<S> remains available to code that names S
-// (tests do).
+// scheduler by name, the way smq_run and the benches resolve every other
+// axis. One SchedulerService<AnyScheduler> instantiation serves the
+// whole registry; static instantiation of a concrete SchedulerService<S>
+// remains available to code that names S (tests do).
 #pragma once
 
 #include <memory>
@@ -25,16 +24,15 @@ std::string_view service_auto_algorithm(const GraphInstance& graph);
 /// the caller left it unset. Tasks of different queries carry priorities
 /// that are not comparable, so the probabilistic "steal when the victim's
 /// top beats mine" only moves work between workers; the forced steal of
-/// an idle worker still balances the load. Presets that pin p-steal keep
-/// their value.
+/// an idle worker still balances the load.
 ParamMap service_params(std::string_view sched_name, const ParamMap& params);
 
 /// Build a running service for `sched_name` x `threads` over `graph`.
 /// The worker count is clamped to the scheduler's thread capacity
 /// (effective_threads), the heuristic scale comes from the graph
-/// instance, and the scheduler is built from service_params() — presets
-/// otherwise resolve exactly as in a sweep. `auto` is resolved by the
-/// caller (tuning::resolve_auto), which reports the pick. Throws
+/// instance, and the scheduler is built from service_params(). `auto` is
+/// resolved by the caller (tuning::resolve_auto), which reports the pick
+/// and passes its params. Throws
 /// std::invalid_argument on an unknown scheduler.
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,

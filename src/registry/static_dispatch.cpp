@@ -10,7 +10,6 @@
 #include "queues/skiplist.h"
 #include "registry/algo_runners.h"
 #include "registry/scheduler_configs.h"
-#include "registry/scheduler_registry.h"
 
 namespace smq {
 
@@ -49,12 +48,11 @@ struct StaticEntry {
   StaticRunFn run;
 };
 
-// The hot config families of the paper's evaluation; the long tail of
-// anchor schedulers stays virtual-only (they are baselines, not the
-// product). Presets resolve to their family's row with their pinned
-// params applied, so every obim-d*/mq/mq-c*/smq-p*/mq-opt-* key is
-// static-dispatchable too.
-constexpr std::array<StaticEntry, 5> kStaticTable{{
+// The hot schedulers of the paper's evaluation, each row reading its
+// params through the registry factory's own config builder; the long
+// tail of anchor schedulers stays virtual-only (they are baselines, not
+// the product).
+constexpr std::array<StaticEntry, 6> kStaticTable{{
     {"smq",
      [](std::string_view algo, const GraphInstance& g, unsigned threads,
         const ParamMap& params, const AlgoReference* ref) {
@@ -71,6 +69,12 @@ constexpr std::array<StaticEntry, 5> kStaticTable{{
      [](std::string_view algo, const GraphInstance& g, unsigned threads,
         const ParamMap& params, const AlgoReference* ref) {
        return run_concrete<OptimizedMultiQueue>(make_optimized_mq_config, algo,
+                                                g, threads, params, ref);
+     }},
+    {"mq",
+     [](std::string_view algo, const GraphInstance& g, unsigned threads,
+        const ParamMap& params, const AlgoReference* ref) {
+       return run_concrete<OptimizedMultiQueue>(make_classic_mq_config, algo,
                                                 g, threads, params, ref);
      }},
     {"obim",
@@ -94,30 +98,10 @@ const StaticEntry* find_static(std::string_view scheduler) {
   return nullptr;
 }
 
-/// The static row and resolved params for a registry key: a preset
-/// dispatches to its family's row with its pinned/default params
-/// applied — the same resolution its virtual factory performs, so the
-/// two paths cannot construct different configs.
-struct ResolvedStatic {
-  const StaticEntry* entry = nullptr;
-  ParamMap params;
-};
-
-ResolvedStatic resolve_static(std::string_view scheduler,
-                              const ParamMap& params) {
-  const SchedulerEntry* reg_entry =
-      SchedulerRegistry::instance().find(scheduler);
-  if (reg_entry == nullptr || reg_entry->family.empty()) {
-    return {find_static(scheduler), params};
-  }
-  return {find_static(reg_entry->family),
-          resolve_preset_params(*reg_entry, params)};
-}
-
 }  // namespace
 
 bool has_static_dispatch(std::string_view scheduler) {
-  return resolve_static(scheduler, {}).entry != nullptr;
+  return find_static(scheduler) != nullptr;
 }
 
 std::optional<AlgoResult> run_static_dispatch(std::string_view scheduler,
@@ -126,9 +110,9 @@ std::optional<AlgoResult> run_static_dispatch(std::string_view scheduler,
                                               unsigned threads,
                                               const ParamMap& params,
                                               const AlgoReference* ref) {
-  const ResolvedStatic resolved = resolve_static(scheduler, params);
-  if (resolved.entry == nullptr) return std::nullopt;
-  return resolved.entry->run(algorithm, graph, threads, resolved.params, ref);
+  const StaticEntry* entry = find_static(scheduler);
+  if (entry == nullptr) return std::nullopt;
+  return entry->run(algorithm, graph, threads, params, ref);
 }
 
 }  // namespace smq

@@ -4,10 +4,10 @@
 // call (one task, or one batch of --batch-size tasks). For publishing
 // absolute numbers the run driver also has a path with *zero* erasure
 // overhead: run_static_dispatch() maps the hot registry keys (smq,
-// smq-skiplist, mq-opt, obim, pmod, and their presets such as mq) to
-// directly instantiated runs — the same templated runners
-// (algo_runners.h), the same config parsing (scheduler_configs.h), but
-// monomorphized end to end exactly like the seed's hand-written benches.
+// smq-skiplist, mq-opt, mq, obim, pmod) to directly instantiated runs —
+// the same templated runners (algo_runners.h), the same config parsing
+// (scheduler_configs.h), but monomorphized end to end exactly like the
+// seed's hand-written benches.
 // Selected via `smq_run --dispatch static`.
 #pragma once
 
@@ -22,8 +22,7 @@
 namespace smq {
 
 /// True when `scheduler` (a SchedulerRegistry key) has a static table
-/// entry — directly, or through its preset family (an obim-d4 run
-/// dispatches to the obim row with delta-shift pinned).
+/// entry.
 bool has_static_dispatch(std::string_view scheduler);
 
 /// Run `algorithm` under a directly instantiated `scheduler`, validating

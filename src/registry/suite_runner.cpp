@@ -24,7 +24,7 @@ namespace {
 struct SweepRow {
   std::string label;      // display / JSON "scheduler"
   std::string scheduler;  // registry key (JSON "preset" when != label)
-  ParamMap row_params;    // the run's own params (JSON "params")
+  ParamMap row_params;    // the run's own params and auto's (JSON "params")
   unsigned requested_threads = 0;
   unsigned threads = 0;   // effective (clamped) count
   std::string_view dispatch = "virtual";  // dispatch_label() of the run
@@ -34,8 +34,9 @@ struct SweepRow {
   // takes `numa-k`, its analytic internal fraction E.
   std::optional<NumaOptions> numa;
   std::optional<double> internal_frac_expected;
-  // Set when the run asked for `auto`: `scheduler` is its pick, and the
-  // match kind and the resolver's explanation reach the table and JSON.
+  // Set when the run asked for `auto`: `scheduler` and `row_params` hold
+  // its pick, and the match kind and the resolver's explanation reach
+  // the table and JSON.
   std::optional<tuning::AutoSelection> auto_pick;
 };
 
@@ -51,19 +52,19 @@ struct SweepReport {
 };
 
 /// Fill `row`'s NUMA columns from the params its run executes with
-/// (`run_params`, CLI under row pins), resolved through its preset and
-/// read by parse_numa exactly as the factory reads them. A row whose
-/// params set no `numa`, or whose scheduler takes none, stays UMA.
+/// (`run_params`, CLI under row pins), read by parse_numa exactly as the
+/// factory reads them. A row whose params set no `numa`, or whose
+/// scheduler takes none, stays UMA.
 void set_row_numa(SweepRow& row, const SchedulerEntry& entry,
                   const ParamMap& run_params) {
   if (!run_params.has("numa") || !entry.takes("numa")) return;
-  row.numa = parse_numa(resolve_preset_params(entry, run_params), row.threads);
+  row.numa = parse_numa(run_params, row.threads);
   if (!entry.takes("numa-k")) return;  // OBIM/PMOD: nodes only, no K
   // SMQ draws steal victims among the other threads, the queue samplers
   // among all queues, the chooser's own included.
-  const std::string& family = entry.family.empty() ? entry.name : entry.family;
   row.internal_frac_expected = expected_internal_fraction(
-      *row.numa, row.threads, family == "smq" || family == "smq-skiplist");
+      *row.numa, row.threads,
+      entry.name == "smq" || entry.name == "smq-skiplist");
 }
 
 /// The table's numa cell: "nodes/K" for a multi-node row (nodes alone
@@ -90,10 +91,12 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
     const double speedup = ref != nullptr && row.result.run.seconds > 0
                                ? ref->seconds / row.result.run.seconds
                                : 0;
-    // Auto rows show the preset they resolved to, not just "auto" —
-    // the chosen config must be readable off the table.
+    // Auto rows show the configuration they resolved to, not just
+    // "auto" — the chosen config must be readable off the table.
     const std::string label =
-        row.auto_pick ? row.label + ":" + row.scheduler : row.label;
+        row.auto_pick ? row.label + ":" + config_label(row.scheduler,
+                                                       row.row_params)
+                      : row.label;
     table.add_row(
         {label, std::to_string(row.threads), std::string(row.dispatch),
          numa_cell(row),
@@ -320,6 +323,41 @@ std::vector<std::string> parse_sched_list(std::string_view list) {
   return names;
 }
 
+void check_scheduler_flags(const std::vector<std::string>& schedulers,
+                           const ParamMap& cli_params) {
+  const auto registers = [](const auto& registry, const std::string& key) {
+    return std::ranges::any_of(registry.entries(), [&key](const auto& entry) {
+      return std::ranges::any_of(
+          entry.tunables, [&key](const Tunable& t) { return t.name == key; });
+    });
+  };
+  std::vector<std::string> keys = schedulers;
+  if (std::ranges::any_of(schedulers, is_auto)) {
+    keys.emplace_back(tuning::kDefaultScheduler);
+    for (const tuning::AutoRow& row : tuning::auto_rows()) {
+      keys.emplace_back(row.scheduler);
+    }
+  }
+  for (const auto& [key, value] : cli_params.entries()) {
+    if (registers(GraphRegistry::instance(), key) ||
+        registers(AlgorithmRegistry::instance(), key)) {
+      continue;
+    }
+    std::string takers;
+    bool taken = false;
+    for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
+      if (!entry.takes(key)) continue;
+      takers += (takers.empty() ? "" : ", ") + entry.name;
+      taken = taken || std::ranges::find(keys, entry.name) != keys.end();
+    }
+    if (!takers.empty() && !taken) {
+      throw std::invalid_argument("--" + key + " is taken only by " + takers +
+                                  ", which this run does not name (see "
+                                  "smq_run --list)");
+    }
+  }
+}
+
 SuiteDef sweep_suite(std::string_view sched_list) {
   SuiteDef suite;
   suite.threads = {4};
@@ -346,18 +384,26 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
   for (const auto& [key, value] : opts.cli_params.entries()) {
     params.set(key, value);
   }
-  // Reject an unknown scheduler or a malformed NUMA point before any
-  // graph is built.
+  // Reject an unknown scheduler, a malformed NUMA point, a tunable its
+  // factory rejects or one no row's key takes before any graph is built:
+  // each row's scheduler is built once at one thread.
   try {
     for (const SuiteRun& run : suite.runs) {
-      if (!is_auto(run.scheduler) &&
-          SchedulerRegistry::instance().find(run.scheduler) == nullptr) {
+      const ParamMap run_params = merge_run_params(params, run.params);
+      parse_numa(run_params, 1);
+      if (is_auto(run.scheduler)) continue;
+      const SchedulerEntry* entry =
+          SchedulerRegistry::instance().find(run.scheduler);
+      if (entry == nullptr) {
         throw std::invalid_argument("suite " + suite.name +
                                     " names unknown scheduler: " +
                                     run.scheduler);
       }
-      parse_numa(merge_run_params(params, run.params), 1);
+      entry->make(1, run_params);
     }
+    std::vector<std::string> schedulers;
+    for (const SuiteRun& run : suite.runs) schedulers.push_back(run.scheduler);
+    check_scheduler_flags(schedulers, opts.cli_params);
   } catch (const std::invalid_argument& e) {
     err << e.what() << "\n";
     return 2;
@@ -407,33 +453,36 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
 
   bool any_invalid = false;
   for (const SuiteRun& run : suite.runs) {
-    // Static dispatch covers the hot config families (and their presets)
-    // only; anything else keeps its uniform erased path (and says so).
-    // `auto` decides per row, once its pick is known.
+    // Static dispatch covers the hot schedulers only; anything else keeps
+    // its uniform erased path (and says so). `auto` decides per row, once
+    // its pick is known.
     const bool run_static =
         !is_auto(run.scheduler) &&
         row_dispatch_static(opts.static_dispatch, run.scheduler, err);
-    const ParamMap run_params = merge_run_params(params, run.params);
     for (const unsigned requested : thread_counts) {
       SweepRow row;
       row.label = suite_run_label(run);
+      row.scheduler = run.scheduler;
+      row.row_params = run.params;
       // The pick may change with the thread count; the row runs it on
-      // the requested path, the same as naming it by hand.
+      // the requested path, the same as naming it by hand, its params
+      // winning over the CLI's.
       row.auto_pick = tuning::resolve_auto(run.scheduler, report.graph,
                                            algo_name, requested);
-      row.scheduler = row.auto_pick ? row.auto_pick->preset : run.scheduler;
-      const bool row_static =
-          row.auto_pick
-              ? row_dispatch_static(opts.static_dispatch, row.scheduler, err)
-              : run_static;
+      bool row_static = run_static;
       if (row.auto_pick) {
+        row.scheduler = row.auto_pick->scheduler;
+        row.row_params =
+            merge_run_params(row.row_params, row.auto_pick->params);
+        row_static =
+            row_dispatch_static(opts.static_dispatch, row.scheduler, err);
         out << tuning::describe_selection(*row.auto_pick, algo_name,
                                           requested)
             << "\n";
       }
+      const ParamMap run_params = merge_run_params(params, row.row_params);
       const SchedulerEntry& entry =
           *SchedulerRegistry::instance().find(row.scheduler);
-      row.row_params = run.params;
       row.requested_threads = requested;
       row.threads = effective_threads(entry, requested);
       set_row_numa(row, entry, run_params);

@@ -50,6 +50,14 @@ std::vector<std::string> parse_sched_list(std::string_view list);
 /// std::invalid_argument on an unknown scheduler.
 SuiteDef sweep_suite(std::string_view sched_list);
 
+/// Throws std::invalid_argument naming the flag when `cli_params` sets a
+/// scheduler tunable that none of `schedulers` takes (`auto` stands for
+/// every key its rows can pick), so a flag paired with the wrong key
+/// never runs that key's defaults in silence. A key some graph source or
+/// algorithm registers (`seed`, `batch-size`) is theirs to read.
+void check_scheduler_flags(const std::vector<std::string>& schedulers,
+                           const ParamMap& cli_params);
+
 struct SuiteOptions {
   std::vector<unsigned> threads;  // empty = the suite's default sweep
   int reps = 1;
@@ -73,7 +81,8 @@ std::optional<SuiteOptions> parse_suite_options(const ArgParser& args,
 /// requested) to `out`. Rows are best-of-`reps`; the JSON is
 /// tools/perf_check.py's input format. Returns 0 on success, 1 when any
 /// row failed validation, 2 on configuration errors (an unknown
-/// scheduler, graph or algorithm, or a malformed `numa`/`numa-k`).
+/// scheduler, graph or algorithm, a malformed tunable, or a scheduler
+/// tunable no row's key takes).
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
               std::ostream& out, std::ostream& err);
 

@@ -31,14 +31,13 @@ SuiteRun mq_baseline() {
   return run_of("mq", {{"c", "4"}}, "mq-c4 (baseline)");
 }
 
-/// One row of an SMQ ablation grid at p_steal = 1/`denom`: the
-/// smq-p<D> / smq-sl-p<D> preset, or the base key at D = 8, its default.
-SuiteRun smq_ablation_run(const char* base, const char* preset, int denom,
-                          const char* steal_size) {
-  const std::string key = preset + std::to_string(denom);
-  if (denom != 8) return run_of(key, {{"steal-size", steal_size}});
-  return run_of(base, {{"p-steal", "1/8"}, {"steal-size", steal_size}},
-                key + "/steal-size=" + steal_size);
+/// One row of an SMQ ablation grid, `scheduler` at p_steal = 1/`denom`,
+/// labelled as the figure names it ("smq-p4/steal-size=1").
+SuiteRun smq_ablation_run(const char* scheduler, const char* label_prefix,
+                          int denom, const char* steal_size) {
+  const std::string d = std::to_string(denom);
+  return run_of(scheduler, {{"p-steal", "1/" + d}, {"steal-size", steal_size}},
+                label_prefix + d + "/steal-size=" + steal_size);
 }
 
 /// `params` at a NUMA-table point: two virtual nodes at remote weight K.
@@ -79,11 +78,14 @@ std::vector<SuiteDef> build_suites() {
     d.description = "OBIM/PMOD tuning: delta shift x chunk size";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    for (const char* family : {"obim-d", "pmod-d"}) {
+    for (const char* scheduler : {"obim", "pmod"}) {
       for (const unsigned shift : {0u, 2u, 4u, 8u, 12u, 16u}) {
+        const std::string s = std::to_string(shift);
         for (const char* chunk : {"16", "64", "256"}) {
-          d.runs.push_back(run_of(family + std::to_string(shift),
-                                  {{"chunk-size", chunk}}));
+          d.runs.push_back(
+              run_of(scheduler, {{"delta-shift", s}, {"chunk-size", chunk}},
+                     std::string(scheduler) + "-d" + s +
+                         "/chunk-size=" + chunk));
         }
       }
     }
@@ -92,8 +94,9 @@ std::vector<SuiteDef> build_suites() {
 
   // Figures 7-14 / Tables 4-11 (Appendix C): the classic-MQ optimization
   // sub-sweeps along the figures' diagonal — temporal-locality stickiness
-  // (1, 1/D) on both sides via the mq-tl-p presets (D = 1 is the classic
-  // mq), and task-batching buffer size (B, 1) on both sides via mq-opt.
+  // (1, 1/D) on both sides, labelled mq-tl-p<D> (D = 1 is the classic
+  // mq), and task-batching buffer size (B, 1) on both sides, both on
+  // mq-opt.
   {
     SuiteDef d;
     d.name = "fig7_14";
@@ -103,7 +106,9 @@ std::vector<SuiteDef> build_suites() {
     d.runs.push_back(mq_baseline());
     d.runs.push_back(run_of("mq", {}, "mq-tl-p1"));
     for (const int denom : {4, 16, 64, 256, 1024}) {
-      d.runs.push_back(run_of("mq-tl-p" + std::to_string(denom)));
+      const std::string p = "1/" + std::to_string(denom);
+      d.runs.push_back({"mq-opt", mq_opt_params("1", p, "1", p),
+                        "mq-tl-p" + std::to_string(denom)});
     }
     for (const char* batch : {"1", "4", "16", "64", "256", "1024"}) {
       d.runs.push_back({"mq-opt", mq_opt_params(batch, "1", batch, "1"),
@@ -113,9 +118,10 @@ std::vector<SuiteDef> build_suites() {
   }
 
   // Figures 15-16 (Appendix C.9): the four optimization combos
-  // head-to-head at representative settings (p = 1/16, buffers of 16).
-  // TL/TL is mq-tl-p16, B/B is mq-opt, B/TL is mq-opt-full, and TL/B is
-  // mq-opt at (1, 1/16) / (16, 1).
+  // head-to-head at representative settings (p = 1/16, buffers of 16),
+  // each mq-opt at its (B, p) insert / (B, p) delete: TL/TL at (1, 1/16)
+  // on both sides, B/B at mq-opt's defaults, B/TL at (16, 1) / (1, 1/16)
+  // and TL/B at (1, 1/16) / (16, 1).
   {
     SuiteDef d;
     d.name = "fig15_16";
@@ -123,9 +129,11 @@ std::vector<SuiteDef> build_suites() {
     d.description = "MQ optimization combos head-to-head";
     d.threads = {4};
     d.runs.push_back(mq_baseline());  // the combo with no optimization
-    d.runs.push_back(run_of("mq-tl-p16", {}, "mq-tl-p16 (TL/TL)"));
+    d.runs.push_back({"mq-opt", mq_opt_params("1", "1/16", "1", "1/16"),
+                      "mq-tl-p16 (TL/TL)"});
     d.runs.push_back(run_of("mq-opt", {}, "mq-opt (B/B)"));
-    d.runs.push_back(run_of("mq-opt-full", {}, "mq-opt-full (B/TL)"));
+    d.runs.push_back({"mq-opt", mq_opt_params("16", "1", "1", "1/16"),
+                      "mq-opt-full (B/TL)"});
     d.runs.push_back(
         {"mq-opt", mq_opt_params("1", "1/16", "16", "1"), "mq-opt (TL/B)"});
     defs.push_back(std::move(d));
@@ -141,11 +149,12 @@ std::vector<SuiteDef> build_suites() {
     d.description = "SMQ (skip list) ablation, heap variant paired";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    for (const auto& [base, preset] :
+    for (const auto& [scheduler, label_prefix] :
          {std::pair{"smq-skiplist", "smq-sl-p"}, std::pair{"smq", "smq-p"}}) {
       for (const int denom : {2, 4, 8, 16, 32}) {
         for (const char* size : {"1", "8", "64"}) {
-          d.runs.push_back(smq_ablation_run(base, preset, denom, size));
+          d.runs.push_back(
+              smq_ablation_run(scheduler, label_prefix, denom, size));
         }
       }
     }
@@ -159,9 +168,8 @@ std::vector<SuiteDef> build_suites() {
     d.figure = "Tables 2-3";
     d.description = "classic MQ C-sweep vs the sequential exact PQ";
     d.threads = {4};
-    for (const unsigned c : {1u, 2u, 4u, 8u, 16u}) {
-      const std::string key = "mq-c" + std::to_string(c);
-      d.runs.push_back(c == 4 ? run_of("mq", {{"c", "4"}}, key) : run_of(key));
+    for (const char* c : {"1", "2", "4", "8", "16"}) {
+      d.runs.push_back(run_of("mq", {{"c", c}}, std::string("mq-c") + c));
     }
     defs.push_back(std::move(d));
   }
@@ -177,13 +185,11 @@ std::vector<SuiteDef> build_suites() {
     d.description = "NUMA weight K ablation: optimized MQ combos";
     d.threads = {4};
     d.runs.push_back(mq_baseline());
-    // TL/TL is the mq-tl-p16 preset; the other three combos spell their
-    // (B, p) per side on mq-opt at the same p = 1/16 and buffers of 16.
-    for (const std::string& k : numa_ks) {
-      d.runs.push_back({"mq-tl-p16", numa_point(k), "TL/TL K=" + k});
-    }
+    // The four combos spell their (B, p) per side on mq-opt at p = 1/16
+    // and buffers of 16.
     for (const auto& [label, combo] :
-         {std::pair{"TL/B", mq_opt_params("1", "1/16", "16", "1")},
+         {std::pair{"TL/TL", mq_opt_params("1", "1/16", "1", "1/16")},
+          std::pair{"TL/B", mq_opt_params("1", "1/16", "16", "1")},
           std::pair{"B/TL", mq_opt_params("16", "1", "1", "1/16")},
           std::pair{"B/B", mq_opt_params("16", "1", "16", "1")}}) {
       for (const std::string& k : numa_ks) {
@@ -244,12 +250,8 @@ std::vector<std::string> suite_names() {
 }
 
 std::string suite_run_label(const SuiteRun& run) {
-  if (!run.label.empty()) return run.label;
-  std::string label = run.scheduler;
-  for (const auto& [key, value] : run.params.entries()) {
-    label += "/" + key + "=" + value;
-  }
-  return label;
+  return run.label.empty() ? config_label(run.scheduler, run.params)
+                           : run.label;
 }
 
 std::string unknown_suite_message(std::string_view name) {

@@ -1,13 +1,14 @@
 // Figure suites: the paper's ablation studies and NUMA tables as
-// declarative preset sweeps.
+// declarative sweeps.
 //
-// A suite names the exact (scheduler preset, per-run params) tuples,
+// A suite names the exact (scheduler key, per-run params) tuples,
 // thread counts and default graph that reproduce one figure or table of
-// conf_ppopp_PostnikovaKNA22 through the registry runners. A grid point
-// that equals a base key's defaults runs as that key, with the point's
-// knobs pinned as run params and the figure's label kept (the MQ
-// baseline is `mq` at c = 4, labelled "mq-c4 (baseline)"); a NUMA-table
-// row pins `numa` (the node count) and `numa-k` (K). `smq_run
+// conf_ppopp_PostnikovaKNA22 through the registry runners. Every grid
+// point is a registry key with the point's knobs as run params, under
+// the label the figure gives it (`obim` at delta-shift 4 and chunk-size
+// 64 is "obim-d4/chunk-size=64"; the MQ baseline is `mq` at c = 4,
+// "mq-c4 (baseline)"); a NUMA-table row sets `numa` (the node count)
+// and `numa-k` (K). `smq_run
 // --suite fig3_6` runs a suite through registry/suite_runner.h, the
 // same runner an ad-hoc `--sched` sweep goes through — so every
 // figure's configuration is enumerable, validated against the
@@ -24,8 +25,8 @@
 
 namespace smq {
 
-/// One row group of a suite: a registry scheduler key (usually a
-/// preset) plus the tunables this run pins on top of it.
+/// One row group of a suite: a registry scheduler key plus the tunables
+/// this run pins on top of it.
 struct SuiteRun {
   std::string scheduler;  // SchedulerRegistry key
   ParamMap params;        // per-run tunable overrides (win over the CLI)
@@ -51,7 +52,7 @@ const SuiteDef* find_suite(std::string_view name);
 std::vector<std::string> suite_names();
 
 /// The display label of a run: its explicit label, else the scheduler
-/// key with any per-run params appended ("obim-d4/chunk-size=64").
+/// key with any per-run params appended ("smq/numa=2/numa-k=8").
 std::string suite_run_label(const SuiteRun& run);
 
 /// Error text for an unknown suite name, listing every valid one.

@@ -164,11 +164,12 @@ void print_service_table(std::ostream& os, const ServiceReport& report) {
                       "wait p99 ms", "tasks", "wasted", "mem KiB", "speedup",
                       "ok"});
   for (const ServiceRow& row : report.rows) {
-    // Auto rows show the resolved preset next to "auto" — the chosen
-    // config must be readable off the table.
-    const std::string label = !row.preset.empty() && row.preset != row.scheduler
-                                  ? row.scheduler + ":" + row.preset
-                                  : row.scheduler;
+    // Auto rows show the resolved configuration next to "auto" — the
+    // chosen config must be readable off the table.
+    const std::string label =
+        !row.preset.empty() && row.preset != row.scheduler
+            ? row.scheduler + ":" + config_label(row.preset, row.preset_params)
+            : row.scheduler;
     table.add_row({label, mode_label(row), std::to_string(row.threads),
                    row.spawn_baseline ? "-" : std::to_string(row.lanes),
                    std::to_string(row.queries),
@@ -235,6 +236,13 @@ void write_service_json(std::ostream& os, const ServiceReport& report) {
     json.member("scheduler", row.scheduler);
     if (!row.preset.empty() && row.preset != row.scheduler) {
       json.member("preset", row.preset);
+    }
+    if (!row.preset_params.entries().empty()) {
+      json.key("params").begin_object();
+      for (const auto& [key, value] : row.preset_params.entries()) {
+        json.member(key, value);
+      }
+      json.end_object();
     }
     if (!row.auto_match.empty()) {
       json.member("auto", true);

@@ -95,9 +95,11 @@ struct ServiceRow {
   bool valid = true;
   double speedup_vs_seq = 0;
   int reps = 1;
-  // `--sched auto` provenance: the preset the auto rows resolved
-  // (scheduler stays "auto"), its match kind, and the explanation.
+  // `--sched auto` provenance: the key and params the auto rows resolved
+  // (scheduler stays "auto"; JSON "preset" and "params"), its match
+  // kind, and the explanation.
   std::string preset;
+  ParamMap preset_params;
   std::string auto_match;
   std::string auto_why;
 };

@@ -1,12 +1,13 @@
 // `--sched auto`: resolve a (graph, algorithm, threads) workload to a
-// registered preset through a handful of compiled-in measured rows.
+// registered scheduler key plus params through a handful of compiled-in
+// measured rows.
 //
 // Each row says that on one graph class and algorithm, from
-// `min_threads` up, `preset` beat the paper's `smq` by more than the
-// spread of smq's own repetitions. Every key without such a row runs
-// `smq`. The result always names a preset the SchedulerRegistry can
-// create, so callers can feed it straight into virtual, batched, or
-// static dispatch.
+// `min_threads` up, `scheduler` at `params` beat the paper's `smq` by
+// more than the spread of smq's own repetitions. Every key without such
+// a row runs `smq`. The result always names a key the SchedulerRegistry
+// can create, and params that win over the caller's, so callers can
+// feed it straight into virtual, batched, or static dispatch.
 #pragma once
 
 #include <optional>
@@ -15,6 +16,7 @@
 #include <string_view>
 
 #include "registry/graph_registry.h"
+#include "registry/params.h"
 #include "tuning/fingerprint.h"
 
 namespace smq::tuning {
@@ -23,13 +25,14 @@ namespace smq::tuning {
 inline constexpr std::string_view kAutoSchedulerName = "auto";
 
 /// The answer for every key no row covers: the paper's scheduler.
-inline constexpr std::string_view kDefaultPreset = "smq";
+inline constexpr std::string_view kDefaultScheduler = "smq";
 
 struct AutoRow {
   GraphClass cls;
   std::string_view algorithm;
   unsigned min_threads;
-  std::string_view preset;
+  std::string_view scheduler;
+  ParamMap params;            // tunables the scheduler runs at
   std::string_view measured;  // provenance: graph, times, command
 };
 
@@ -42,14 +45,15 @@ enum class MatchKind { kExact, kDefault };
 std::string_view to_string(MatchKind kind) noexcept;
 
 struct AutoSelection {
-  std::string preset;  // registered preset key, ready for create()
+  std::string scheduler;  // registry key, ready for create()
+  ParamMap params;        // tunables the pick runs at (win over the CLI)
   MatchKind match = MatchKind::kDefault;
   GraphClass cls = GraphClass::kUniform;
   std::string why;  // explanation surfaced in table/JSON output
 };
 
 /// The (cls, algorithm) row with the largest min_threads <= threads;
-/// kDefaultPreset when there is none.
+/// kDefaultScheduler when there is none.
 AutoSelection select_scheduler(GraphClass cls, std::string_view algorithm,
                                unsigned threads);
 
@@ -63,7 +67,7 @@ std::optional<AutoSelection> resolve_auto(std::string_view scheduler,
                                           unsigned threads);
 
 /// One-line provenance note, printed by drivers before running:
-/// "auto: bfs @ 4t on road graph -> pmod-d4 [exact] — ...".
+/// "auto: bfs @ 4t on road graph -> pmod/delta-shift=4 [exact] — ...".
 std::string describe_selection(const AutoSelection& sel,
                                std::string_view algorithm, unsigned threads);
 

@@ -83,7 +83,7 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
   ASSERT_NE(algo, nullptr);
   const AlgoReference ref = algo->make_reference(graph, params);
 
-  // The static families plus mq, the classic MQ preset over mq-opt.
+  // Every key with a static-dispatch row.
   for (const char* name :
        {"smq", "smq-skiplist", "mq", "mq-opt", "obim", "pmod"}) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);

@@ -241,9 +241,12 @@ TEST(NumaSampler, RemoteStealStatsSurfaceThroughRegistryRun) {
   EXPECT_EQ(uma_result.run.stats.sampled_accesses, 0u);
   EXPECT_EQ(uma_result.run.stats.remote_accesses, 0u);
 
-  // The RELD keys take the NUMA point too: weighted enqueue sampling
-  // must show up in the merged stats.
-  AnyScheduler reld = SchedulerRegistry::instance().create("reld-c2", 4, params);
+  // RELD takes the NUMA point too: weighted enqueue sampling must show
+  // up in the merged stats.
+  ParamMap reld_params = params;
+  reld_params.set("c", "2");
+  AnyScheduler reld =
+      SchedulerRegistry::instance().create("reld", 4, reld_params);
   const AlgoResult reld_result = algo->run(graph, reld, 4, params, nullptr);
   EXPECT_GT(reld_result.run.stats.sampled_accesses, 0u);
   EXPECT_GT(reld_result.run.stats.remote_accesses, 0u);

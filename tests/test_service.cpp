@@ -6,6 +6,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -441,6 +442,33 @@ TEST(ServiceDriver, RowReportsWaitPercentilesFromResults) {
   EXPECT_LT(row.wait_p99_ms, row.p99_ms);
 }
 
+/// An `auto` row reports the key and params it resolved to: the table
+/// label spells both, the JSON row carries them as "preset" and
+/// "params".
+TEST(ServiceDriver, AutoRowReportsTheResolvedKeyAndParams) {
+  ServiceReport report;
+  report.graph = road_instance(64);
+  ServiceRow row;
+  row.scheduler = "auto";
+  row.preset = "pmod";
+  row.preset_params = params_of({{"delta-shift", "4"}});
+  row.auto_match = "exact";
+  row.auto_why = "row road/bfs";
+  report.rows.push_back(row);
+  std::ostringstream table;
+  print_service_table(table, report);
+  EXPECT_NE(table.str().find("auto:pmod/delta-shift=4"), std::string::npos)
+      << table.str();
+  std::ostringstream json;
+  write_service_json(json, report);
+  const std::string text = json.str();
+  EXPECT_NE(text.find("\"preset\": \"pmod\""), std::string::npos) << text;
+  const std::size_t results = text.find("\"results\"");
+  ASSERT_NE(results, std::string::npos) << text;
+  EXPECT_NE(text.find("\"delta-shift\": \"4\"", results), std::string::npos)
+      << text;
+}
+
 TEST(ServiceFactory, UnknownSchedulerThrows) {
   const GraphInstance gi = road_instance(256);
   EXPECT_THROW(make_service("nope", 2, ParamMap{}, gi), std::invalid_argument);
@@ -450,12 +478,10 @@ TEST(ServiceFactory, UnknownSchedulerThrows) {
 TEST(ServiceFactory, SmqFamiliesDefaultToNoProbabilisticSteal) {
   EXPECT_EQ(service_params("smq", ParamMap{}).get("p-steal"), "0");
   EXPECT_EQ(service_params("smq-skiplist", ParamMap{}).get("p-steal"), "0");
-  // A caller's value wins; presets that pin p-steal keep their own (the
-  // registry forces pinned knobs); schedulers without the knob get none.
-  EXPECT_EQ(service_params("smq", params_of({{"p-steal", "1/8"}}))
+  // A caller's value wins; schedulers without the knob get none.
+  EXPECT_EQ(service_params("smq", params_of({{"p-steal", "1/16"}}))
                 .get("p-steal"),
-            "1/8");
-  EXPECT_FALSE(service_params("smq-p16", ParamMap{}).has("p-steal"));
+            "1/16");
   EXPECT_FALSE(service_params("mq-opt", ParamMap{}).has("p-steal"));
 }
 

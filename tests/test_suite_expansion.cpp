@@ -1,8 +1,9 @@
 // Golden tests for the figure suites (registry/suites.h): each --suite
-// name must expand to the exact preset/params/threads tuples of its
-// paper figure, every run must name a registered scheduler with
-// documented tunables, and the CLI-facing parsers (suite lookup,
-// thread sweep spec) must reject garbage helpfully. The expansions are
+// name must expand to the exact key/params/threads tuples of its paper
+// figure, under the figure's row labels, every run must name a
+// registered scheduler with documented tunables, and the CLI-facing
+// parsers (suite lookup, thread sweep spec) must reject garbage
+// helpfully. The expansions are
 // the reproduction recipe for conf_ppopp_PostnikovaKNA22 — change them
 // deliberately, with the figure open.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -97,9 +99,10 @@ TEST(SuiteRegistry, EveryRunNamesARegisteredSchedulerWithDocumentedTunables) {
 
 TEST(SuiteRegistry, RunLabelsDeriveFromSchedulerAndParams) {
   SuiteRun run;
-  run.scheduler = "obim-d4";
+  run.scheduler = "obim";
+  run.params.set("delta-shift", "4");
   run.params.set("chunk-size", "64");
-  EXPECT_EQ(suite_run_label(run), "obim-d4/chunk-size=64");
+  EXPECT_EQ(suite_run_label(run), "obim/chunk-size=64/delta-shift=4");
   run.label = "custom";
   EXPECT_EQ(suite_run_label(run), "custom");
 }
@@ -114,11 +117,10 @@ void expect_mq_baseline(const SuiteRun& run) {
   EXPECT_EQ(suite_run_label(run), "mq-c4 (baseline)");
 }
 
-/// The SMQ ablation key at p_steal = 1/`denom`: the preset, or at the
-/// base key's default D = 8 the base key itself.
-std::string smq_ablation_key(const std::string& base,
-                             const std::string& preset, int denom) {
-  return denom == 8 ? base : preset + std::to_string(denom);
+/// An SMQ ablation row's params: p_steal = 1/`denom` at `steal_size`.
+ParamMap smq_ablation_params(int denom, const char* steal_size) {
+  return params_of({{"p-steal", "1/" + std::to_string(denom)},
+                    {"steal-size", steal_size}});
 }
 
 TEST(SuiteExpansion, Fig1IsThePStealStealSizeGrid) {
@@ -128,21 +130,20 @@ TEST(SuiteExpansion, Fig1IsThePStealStealSizeGrid) {
   EXPECT_EQ(suite->threads, std::vector<unsigned>{4});
   ASSERT_EQ(suite->runs.size(), 25u);
   expect_mq_baseline(suite->runs[0]);  // the figures' baseline
-  std::vector<Tuple> expected;
   std::vector<std::string> labels;
+  std::vector<ParamMap> params;
   for (const int denom : {2, 4, 8, 16, 32, 64}) {
     for (const char* size : {"1", "4", "16", "64"}) {
-      expected.emplace_back(smq_ablation_key("smq", "smq-p", denom), size);
       labels.push_back("smq-p" + std::to_string(denom) +
                        "/steal-size=" + size);
+      params.push_back(smq_ablation_params(denom, size));
     }
   }
-  EXPECT_EQ(grid_of(*suite, "steal-size"), expected);
   for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite->runs[i].scheduler, "smq") << i;
+    EXPECT_EQ(suite->runs[i].params.entries(), params[i - 1].entries()) << i;
     EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
   }
-  // The D = 8 rows pin p_steal = 1/8 on smq, as the preset did.
-  EXPECT_EQ(suite->runs[9].params.get("p-steal"), "1/8");
 }
 
 TEST(SuiteExpansion, Fig3_6IsTheObimPmodDeltaChunkGrid) {
@@ -152,14 +153,24 @@ TEST(SuiteExpansion, Fig3_6IsTheObimPmodDeltaChunkGrid) {
   ASSERT_EQ(suite->runs.size(), 37u);
   expect_mq_baseline(suite->runs[0]);
   std::vector<Tuple> expected;
-  for (const char* family : {"obim-d", "pmod-d"}) {
+  std::vector<std::string> shifts;
+  std::vector<std::string> labels;
+  for (const std::string scheduler : {"obim", "pmod"}) {
     for (const unsigned shift : {0u, 2u, 4u, 8u, 12u, 16u}) {
+      const std::string s = std::to_string(shift);
       for (const char* chunk : {"16", "64", "256"}) {
-        expected.emplace_back(family + std::to_string(shift), chunk);
+        expected.emplace_back(scheduler, chunk);
+        shifts.push_back(s);
+        labels.push_back(scheduler + "-d" + s + "/chunk-size=" + chunk);
       }
     }
   }
   EXPECT_EQ(grid_of(*suite, "chunk-size"), expected);
+  for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite->runs[i].params.get("delta-shift"), shifts[i - 1]) << i;
+    EXPECT_EQ(suite->runs[i].params.entries().size(), 2u) << i;
+    EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
+  }
 }
 
 TEST(SuiteExpansion, Fig7_14IsTheStickinessAndBufferDiagonal) {
@@ -173,12 +184,22 @@ TEST(SuiteExpansion, Fig7_14IsTheStickinessAndBufferDiagonal) {
   }
   // Stickiness p = 1/1 is the classic MQ, kept under its sweep label.
   EXPECT_EQ(suite_run_label(suite->runs[1]), "mq-tl-p1");
-  const std::vector<std::string> expected{
-      "mq",         "mq-tl-p4",   "mq-tl-p16",
-      "mq-tl-p64",  "mq-tl-p256", "mq-tl-p1024",
-      "mq-opt",     "mq-opt",     "mq-opt",
-      "mq-opt",     "mq-opt",     "mq-opt"};
+  EXPECT_TRUE(suite->runs[1].params.entries().empty());
+  std::vector<std::string> expected(12, "mq-opt");
+  expected[0] = "mq";
   EXPECT_EQ(schedulers, expected);
+  // The stickiness rows are (1, 1/D) on both sides, labelled mq-tl-p<D>.
+  const std::vector<std::string> denoms{"4", "16", "64", "256", "1024"};
+  for (std::size_t i = 0; i < denoms.size(); ++i) {
+    const SuiteRun& run = suite->runs[2 + i];
+    EXPECT_EQ(suite_run_label(run), "mq-tl-p" + denoms[i]);
+    EXPECT_EQ(run.params.entries(),
+              params_of({{"insert-batch", "1"},
+                         {"p-insert", "1/" + denoms[i]},
+                         {"delete-batch", "1"},
+                         {"p-delete", "1/" + denoms[i]}})
+                  .entries());
+  }
   // The buffer rows sweep insert = delete batch along the diagonal, at
   // p = 1 on both sides.
   for (std::size_t i = 7; i < suite->runs.size(); ++i) {
@@ -197,17 +218,27 @@ TEST(SuiteExpansion, Fig15_16IsTheOptimizationComboStack) {
   ASSERT_EQ(suite->runs.size(), 5u);
   // The mq-c4 baseline is the combo with no optimization.
   expect_mq_baseline(suite->runs[0]);
-  const std::vector<std::string> expected{"mq", "mq-tl-p16", "mq-opt",
-                                          "mq-opt-full", "mq-opt"};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
+  const std::vector<std::string> labels{
+      "mq-c4 (baseline)", "mq-tl-p16 (TL/TL)", "mq-opt (B/B)",
+      "mq-opt-full (B/TL)", "mq-opt (TL/B)"};
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i]) << i;
+    EXPECT_EQ(suite->runs[i].scheduler, i == 0 ? "mq" : "mq-opt") << i;
   }
-  // The explicit TL/B combo spells (1, 1/16) / (16, 1) on the base key.
-  const SuiteRun& tlb = suite->runs[4];
-  EXPECT_EQ(tlb.params.get("insert-batch"), "1");
-  EXPECT_EQ(tlb.params.get("p-insert"), "1/16");
-  EXPECT_EQ(tlb.params.get("delete-batch"), "16");
-  EXPECT_EQ(tlb.params.get("p-delete"), "1");
+  // Each combo spells its (B, p) insert / (B, p) delete on mq-opt; B/B
+  // is mq-opt's defaults.
+  EXPECT_TRUE(suite->runs[2].params.entries().empty());
+  const std::vector<std::pair<std::size_t, std::vector<std::string>>> combos{
+      {1, {"1", "1/16", "1", "1/16"}},
+      {3, {"16", "1", "1", "1/16"}},
+      {4, {"1", "1/16", "16", "1"}}};
+  for (const auto& [row, combo] : combos) {
+    const SuiteRun& run = suite->runs[row];
+    EXPECT_EQ(run.params.get("insert-batch"), combo[0]) << row;
+    EXPECT_EQ(run.params.get("p-insert"), combo[1]) << row;
+    EXPECT_EQ(run.params.get("delete-batch"), combo[2]) << row;
+    EXPECT_EQ(run.params.get("p-delete"), combo[3]) << row;
+  }
 }
 
 TEST(SuiteExpansion, Fig19_20PairsSkipListAndHeapVariants) {
@@ -217,18 +248,21 @@ TEST(SuiteExpansion, Fig19_20PairsSkipListAndHeapVariants) {
   expect_mq_baseline(suite->runs[0]);
   std::vector<Tuple> expected;
   std::vector<std::string> labels;
-  for (const auto& [base, variant] :
+  std::vector<ParamMap> params;
+  for (const auto& [scheduler, label_prefix] :
        {std::pair{"smq-skiplist", "smq-sl-p"}, std::pair{"smq", "smq-p"}}) {
     for (const int denom : {2, 4, 8, 16, 32}) {
       for (const char* size : {"1", "8", "64"}) {
-        expected.emplace_back(smq_ablation_key(base, variant, denom), size);
-        labels.push_back(variant + std::to_string(denom) +
+        expected.emplace_back(scheduler, size);
+        labels.push_back(label_prefix + std::to_string(denom) +
                          "/steal-size=" + size);
+        params.push_back(smq_ablation_params(denom, size));
       }
     }
   }
   EXPECT_EQ(grid_of(*suite, "steal-size"), expected);
   for (std::size_t i = 1; i < suite->runs.size(); ++i) {
+    EXPECT_EQ(suite->runs[i].params.entries(), params[i - 1].entries()) << i;
     EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
   }
 }
@@ -237,17 +271,13 @@ TEST(SuiteExpansion, Table2_3IsTheClassicMqCSweep) {
   const SuiteDef* suite = find_suite("table2_3");
   ASSERT_NE(suite, nullptr);
   ASSERT_EQ(suite->runs.size(), 5u);
-  const std::vector<std::string> expected{"mq-c1", "mq-c2", "mq-c4", "mq-c8",
-                                          "mq-c16"};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(suite_run_label(suite->runs[i]), expected[i]) << i;
-    if (i == 2) continue;  // C = 4 is the classic mq's default
-    EXPECT_EQ(suite->runs[i].scheduler, expected[i]) << i;
-    EXPECT_TRUE(suite->runs[i].params.entries().empty())
-        << "the C-sweep lives in the presets, not run params";
+  const std::vector<std::string> cs{"1", "2", "4", "8", "16"};
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    EXPECT_EQ(suite_run_label(suite->runs[i]), "mq-c" + cs[i]) << i;
+    EXPECT_EQ(suite->runs[i].scheduler, "mq") << i;
+    EXPECT_EQ(suite->runs[i].params.entries(), params_of({{"c", cs[i]}}).entries())
+        << i;
   }
-  EXPECT_EQ(suite->runs[2].scheduler, "mq");
-  EXPECT_EQ(suite->runs[2].params.get("c"), "4");
 }
 
 /// The NUMA tables' K axis, in the paper's order.
@@ -264,11 +294,9 @@ TEST(SuiteExpansion, Table16_23IsTheMqComboNumaGrid) {
   EXPECT_FALSE(suite->runs[0].params.has("numa"));
   std::vector<Tuple> expected;
   std::vector<std::string> labels;
-  for (const auto& [scheduler, combo] :
-       {std::pair{"mq-tl-p16", "TL/TL"}, std::pair{"mq-opt", "TL/B"},
-        std::pair{"mq-opt", "B/TL"}, std::pair{"mq-opt", "B/B"}}) {
+  for (const char* combo : {"TL/TL", "TL/B", "B/TL", "B/B"}) {
     for (const std::string& k : kNumaKs) {
-      expected.emplace_back(scheduler, k);
+      expected.emplace_back("mq-opt", k);
       labels.push_back(std::string(combo) + " K=" + k);
     }
   }
@@ -277,14 +305,14 @@ TEST(SuiteExpansion, Table16_23IsTheMqComboNumaGrid) {
     EXPECT_EQ(suite->runs[i].params.get("numa"), "2") << i;
     EXPECT_EQ(suite_run_label(suite->runs[i]), labels[i - 1]);
   }
-  // The three mq-opt blocks are TL/B, B/TL and B/B at p = 1/16 and
+  // The four blocks are TL/TL, TL/B, B/TL and B/B at p = 1/16 and
   // buffers of 16, spelled (B, p) insert / (B, p) delete.
   const std::vector<std::vector<std::string>> combos{
-      {"1", "1/16", "16", "1"}, {"16", "1", "1", "1/16"},
-      {"16", "1", "16", "1"}};
+      {"1", "1/16", "1", "1/16"}, {"1", "1/16", "16", "1"},
+      {"16", "1", "1", "1/16"}, {"16", "1", "16", "1"}};
   for (std::size_t block = 0; block < combos.size(); ++block) {
     for (std::size_t i = 0; i < kNumaKs.size(); ++i) {
-      const SuiteRun& run = suite->runs[1 + (block + 1) * kNumaKs.size() + i];
+      const SuiteRun& run = suite->runs[1 + block * kNumaKs.size() + i];
       EXPECT_EQ(run.params.get("insert-batch"), combos[block][0]);
       EXPECT_EQ(run.params.get("p-insert"), combos[block][1]);
       EXPECT_EQ(run.params.get("delete-batch"), combos[block][2]);
@@ -485,10 +513,10 @@ TEST(SweepSuite, PlainSweepIsOneUnpinnedRunPerScheduler) {
 
 TEST(SweepSuite, RejectsUnknownSchedulers) {
   try {
-    sweep_suite("smq,smq-p9");
+    sweep_suite("smq,smq-skiplst");
     ADD_FAILURE() << "unknown scheduler accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'smq-p"),
+    EXPECT_NE(std::string(e.what()).find("did you mean 'smq-skiplist'"),
               std::string::npos)
         << e.what();
   }
@@ -568,6 +596,62 @@ TEST(SweepSuite, MalformedNumaPointIsAConfigurationError) {
   }
 }
 
+/// So is a tunable its scheduler's factory rejects: a value that does
+/// not parse whole, or a count below 1.
+TEST(SweepSuite, MalformedTunableIsAConfigurationError) {
+  for (const auto& [sched, key, value] :
+       {std::tuple{"smq", "p-steal", "banana"},
+        std::tuple{"smq", "steal-size", "16x"},
+        std::tuple{"mq-opt", "c", "0"},
+        std::tuple{"obim", "delta-shift", "1e6"}}) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    SuiteOptions opts;
+    opts.threads = {2};
+    opts.cli_params.set("vertices", "300");
+    opts.cli_params.set(key, value);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_suite(sweep_suite(sched), opts, out, err), 2);
+    EXPECT_NE(err.str().find(key), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << "ran before rejecting:\n" << out.str();
+  }
+}
+
+/// So is a scheduler tunable that none of the sweep's keys takes: it
+/// would run the key's defaults in silence. The message names the flag
+/// and the keys that take it.
+TEST(SweepSuite, FlagNoKeyTakesIsAConfigurationError) {
+  for (const auto& [sched, key, value, taker] :
+       {std::tuple{"obim", "p-steal", "1/16", "smq"},
+        std::tuple{"mq", "insert-batch", "64", "mq-opt"},
+        std::tuple{"smq,sequential", "chunk-size", "16", "obim"}}) {
+    SCOPED_TRACE(std::string(sched) + " --" + key);
+    SuiteOptions opts;
+    opts.threads = {1};
+    opts.cli_params.set("vertices", "300");
+    opts.cli_params.set(key, value);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_suite(sweep_suite(sched), opts, out, err), 2);
+    EXPECT_NE(err.str().find(std::string("--") + key), std::string::npos)
+        << err.str();
+    EXPECT_NE(err.str().find(taker), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << "ran before rejecting:\n" << out.str();
+  }
+  // A flag one of the keys takes applies to that key; `auto` takes what
+  // its picks (smq, pmod) take; a key a graph source or algorithm reads
+  // is theirs.
+  EXPECT_NO_THROW(check_scheduler_flags({"mq", "mq-opt"},
+                                        params_of({{"insert-batch", "64"}})));
+  EXPECT_NO_THROW(check_scheduler_flags(
+      {"auto"}, params_of({{"delta-shift", "4"}, {"steal-size", "2"}})));
+  EXPECT_THROW(check_scheduler_flags({"auto"}, params_of({{"c", "2"}})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(check_scheduler_flags(
+      {"sequential"},
+      params_of({{"seed", "3"}, {"batch-size", "8"}, {"vertices", "300"}})));
+}
+
 TEST(SweepSuite, AutoRowsReportARegisteredPresetPerThreadCount) {
   std::ostringstream err;
   SuiteOptions opts;
@@ -592,6 +676,38 @@ TEST(SweepSuite, AutoRowsReportARegisteredPresetPerThreadCount) {
     EXPECT_NE(SchedulerRegistry::instance().find(preset), nullptr) << preset;
   }
   EXPECT_EQ(presets, 2u) << text;
+}
+
+/// A pick with params runs at them, over the CLI's, and shows them: BFS
+/// on a road graph picks pmod at delta-shift 4, which the table label
+/// and the row's JSON params carry.
+TEST(SweepSuite, AutoPickRunsAndReportsItsParams) {
+  std::ostringstream err;
+  SuiteOptions opts;
+  opts.threads = {1};
+  opts.algo_override = "bfs";
+  opts.graph_override = "road";
+  opts.cli_params.set("vertices", "2000");
+  opts.cli_params.set("delta-shift", "10");
+  opts.json_path = "-";
+  std::ostringstream out;
+  ASSERT_EQ(run_suite(sweep_suite("auto"), opts, out, err), 0) << err.str();
+  const std::string text = out.str();
+  EXPECT_NE(text.find("-> pmod/delta-shift=4 [exact]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("auto:pmod/delta-shift=4"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"preset\": \"pmod\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"delta-shift\": \"4\""), std::string::npos) << text;
+
+  // The same run as naming the pick by hand.
+  SuiteOptions by_hand = opts;
+  by_hand.cli_params.set("delta-shift", "4");
+  std::ostringstream hand_out;
+  ASSERT_EQ(run_suite(sweep_suite("pmod"), by_hand, hand_out, err), 0)
+      << err.str();
+  EXPECT_EQ(row_number(text, "auto", "tasks"),
+            row_number(hand_out.str(), "pmod", "tasks"))
+      << text << hand_out.str();
 }
 
 // ---- dispatch flag and row labels -----------------------------------------

@@ -1,6 +1,6 @@
 // Conformance of the compiled-in `--sched auto` rows: keys are unique,
-// every row names a registered algorithm and a registered preset that
-// runs oracle-valid at the row's min_threads, the lookup rule picks the
+// every row names a registered algorithm and a registered scheduler that
+// runs oracle-valid at the row's min_threads and params, the lookup rule picks the
 // largest min_threads <= threads and falls back to smq, and `auto`
 // itself is oracle-valid at 1 and 4 threads on each graph class.
 #include <gtest/gtest.h>
@@ -41,20 +41,22 @@ const GraphInstance& class_graph(GraphClass cls) {
   return graphs->at(cls);
 }
 
-/// Run `preset` x `algo_name` at `threads` on `inst` against the oracle.
-void expect_oracle_valid(const std::string& preset, std::string_view algo_name,
-                         const GraphInstance& inst, unsigned threads) {
+/// Run `scheduler` at `params` x `algo_name` at `threads` on `inst`
+/// against the oracle.
+void expect_oracle_valid(const std::string& scheduler, const ParamMap& params,
+                         std::string_view algo_name, const GraphInstance& inst,
+                         unsigned threads) {
   const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
   ASSERT_NE(algo, nullptr);
-  const SchedulerEntry* entry = SchedulerRegistry::instance().find(preset);
-  ASSERT_NE(entry, nullptr) << "unregistered preset '" << preset << "'";
+  const SchedulerEntry* entry = SchedulerRegistry::instance().find(scheduler);
+  ASSERT_NE(entry, nullptr) << "unregistered scheduler '" << scheduler << "'";
   const AlgoReference ref = algo->make_reference(inst, {});
   const unsigned eff = effective_threads(*entry, threads);
-  AnyScheduler sched = entry->make(eff, {});
-  const AlgoResult result = algo->run(inst, sched, eff, {}, &ref);
+  AnyScheduler sched = entry->make(eff, params);
+  const AlgoResult result = algo->run(inst, sched, eff, params, &ref);
   EXPECT_TRUE(result.validated);
-  EXPECT_TRUE(result.valid) << preset << " failed the " << algo_name
-                            << " oracle at " << eff << " threads";
+  EXPECT_TRUE(result.valid) << config_label(scheduler, params) << " failed the "
+                            << algo_name << " oracle at " << eff << " threads";
 }
 
 /// Strictly increasing keys: sorted, and no key appears twice.
@@ -80,22 +82,32 @@ TEST(TuningConformance, RowsNameRegisteredKeysThatRunAtMinThreads) {
     EXPECT_FALSE(row.measured.empty()) << "provenance missing";
     ASSERT_NE(AlgorithmRegistry::instance().find(row.algorithm), nullptr);
     const SchedulerEntry* entry =
-        SchedulerRegistry::instance().find(row.preset);
-    ASSERT_NE(entry, nullptr) << "unregistered preset '" << row.preset << "'";
+        SchedulerRegistry::instance().find(row.scheduler);
+    ASSERT_NE(entry, nullptr)
+        << "unregistered scheduler '" << row.scheduler << "'";
     // A single-threaded entry in a 4t row would silently under-deliver.
     EXPECT_EQ(effective_threads(*entry, row.min_threads), row.min_threads);
-    expect_oracle_valid(std::string(row.preset), row.algorithm,
-                        class_graph(row.cls), row.min_threads);
+    // Every param is a tunable the key documents.
+    for (const auto& [key, value] : row.params.entries()) {
+      EXPECT_TRUE(entry->takes(key)) << key;
+    }
+    expect_oracle_valid(std::string(row.scheduler), row.params,
+                        row.algorithm, class_graph(row.cls), row.min_threads);
   }
 }
 
 TEST(TuningConformance, LookupTakesTheLargestMinThreadsAtOrBelow) {
   for (const AutoRow& row : auto_rows()) {
-    SCOPED_TRACE(std::string(row.preset));
+    SCOPED_TRACE(std::string(row.scheduler));
     const AutoSelection sel =
         select_scheduler(row.cls, row.algorithm, row.min_threads);
     EXPECT_EQ(sel.match, MatchKind::kExact);
-    EXPECT_EQ(sel.preset, row.preset);
+    EXPECT_EQ(sel.scheduler, row.scheduler);
+    EXPECT_EQ(sel.params.entries(), row.params.entries());
+    // The provenance note names the key with its params.
+    EXPECT_NE(describe_selection(sel, row.algorithm, row.min_threads)
+                  .find("-> " + config_label(row.scheduler, row.params)),
+              std::string::npos);
     EXPECT_NE(sel.why.find(row.measured), std::string::npos);
     // Every thread count above min_threads resolves to this row or to
     // a later one of the same key (larger min_threads).
@@ -107,20 +119,21 @@ TEST(TuningConformance, LookupTakesTheLargestMinThreadsAtOrBelow) {
                    other.min_threads > row.min_threads;
     }
     if (!later_row) {
-      EXPECT_EQ(above.preset, row.preset);
+      EXPECT_EQ(above.scheduler, row.scheduler);
     }
   }
 }
 
 TEST(TuningConformance, KeysWithoutARowFallBackToSmq) {
   // SSSP and A* have no row on any class: with stealing, smq beat every
-  // former row's preset (see auto_select.cpp).
+  // former row's pick (see auto_select.cpp).
   for (const GraphClass cls :
        {GraphClass::kRoad, GraphClass::kUniform, GraphClass::kSocial}) {
     for (const char* algo : {"pagerank", "sssp", "astar"}) {
       SCOPED_TRACE(std::string(to_string(cls)) + '/' + algo);
       const AutoSelection sel = select_scheduler(cls, algo, 4);
-      EXPECT_EQ(sel.preset, kDefaultPreset);
+      EXPECT_EQ(sel.scheduler, kDefaultScheduler);
+      EXPECT_TRUE(sel.params.entries().empty());
       EXPECT_EQ(sel.match, MatchKind::kDefault);
       EXPECT_NE(sel.why.find("paper default"), std::string::npos);
     }
@@ -128,12 +141,13 @@ TEST(TuningConformance, KeysWithoutARowFallBackToSmq) {
   // Zero threads is treated as one, never as "below every row".
   for (const AutoRow& row : auto_rows()) {
     if (row.min_threads != 1) continue;
-    EXPECT_EQ(select_scheduler(row.cls, row.algorithm, 0).preset, row.preset);
+    EXPECT_EQ(select_scheduler(row.cls, row.algorithm, 0).scheduler,
+              row.scheduler);
   }
 }
 
 /// The acceptance path: on each class, `auto` resolves to a registered
-/// preset that matches the sequential oracle at 1 and 4 threads.
+/// key and params that match the sequential oracle at 1 and 4 threads.
 TEST(TuningConformance, AutoIsOracleValidOnEveryClass) {
   for (const GraphClass cls :
        {GraphClass::kRoad, GraphClass::kUniform, GraphClass::kSocial}) {
@@ -148,7 +162,7 @@ TEST(TuningConformance, AutoIsOracleValidOnEveryClass) {
         const AutoSelection& sel = *pick;
         EXPECT_EQ(sel.cls, cls);
         EXPECT_FALSE(sel.why.empty());
-        expect_oracle_valid(sel.preset, algo, inst, threads);
+        expect_oracle_valid(sel.scheduler, sel.params, algo, inst, threads);
       }
     }
   }

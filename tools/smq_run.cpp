@@ -18,7 +18,7 @@
 //
 // Every sweep is a suite run by registry/suite_runner.h. --suite picks
 // one of the paper's figure sweeps (registry/suites.h), which pins its
-// scheduler presets and per-run params; the CLI still controls
+// scheduler keys and per-run params; the CLI still controls
 // graph/threads/reps. --sched a,b[,auto] is expanded by sweep_suite()
 // into an unnamed suite with one run per scheduler. The simulated NUMA
 // point (Section 4) is two tunables: --numa N virtual nodes and --numa-k
@@ -30,8 +30,8 @@
 // AnyScheduler's erased per-thread handle: --batch-size N (default 1)
 // sets the tasks per handle call, and rows are labelled `virtual` at 1
 // and `batched` above it. --dispatch static instead instantiates the
-// concrete scheduler directly, with no erasure (hot config families and
-// their presets — see static_dispatch.h; others run erased and say so).
+// concrete scheduler directly, with no erasure (the hot schedulers —
+// see static_dispatch.h; others run erased and say so).
 //
 // --service drives a query stream through a persistent worker pool
 // instead (service/service_driver.h).
@@ -116,6 +116,24 @@ void print_suite_listing(std::ostream& os) {
 int run_service_mode(const ArgParser& args) {
   ParamMap params = ParamMap::from_args(args);
 
+  std::vector<std::string> sched_names;
+  std::vector<unsigned> thread_counts;
+  try {
+    sched_names = parse_sched_list(args.get("sched", "smq"));
+    thread_counts = parse_thread_list(args.get("threads", "4"));
+    // Reject a tunable no named key takes or a factory rejects before
+    // the graph and the reference are built.
+    check_scheduler_flags(sched_names, params);
+    for (const std::string& name : sched_names) {
+      if (name == tuning::kAutoSchedulerName) continue;
+      SchedulerRegistry::instance().find(name)->make(
+          1, service_params(name, params));
+    }
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+
   const std::string graph_name = args.get("graph", "rand");
   const std::string graph_cache = args.get("graph-cache");
   GraphInstance graph;
@@ -129,15 +147,6 @@ int run_service_mode(const ArgParser& args) {
     return 2;
   }
 
-  std::vector<std::string> sched_names;
-  std::vector<unsigned> thread_counts;
-  try {
-    sched_names = parse_sched_list(args.get("sched", "smq"));
-    thread_counts = parse_thread_list(args.get("threads", "4"));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
   const std::string warn = oversubscription_warning(
       thread_counts, std::thread::hardware_concurrency());
   if (!warn.empty()) std::cerr << warn << "\n";
@@ -182,12 +191,14 @@ int run_service_mode(const ArgParser& args) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     for (const unsigned requested : thread_counts) {
-      // `auto` resolves once per service (the winning preset may change
-      // with the worker count); the row keeps "auto" as its scheduler
-      // and reports the resolved preset.
+      // `auto` resolves once per service (the winning configuration may
+      // change with the worker count); the row keeps "auto" as its
+      // scheduler and reports the resolved key and params.
       const std::optional<tuning::AutoSelection> pick = tuning::resolve_auto(
           name, graph, service_auto_algorithm(graph), requested);
-      const std::string create_name = pick ? pick->preset : name;
+      const std::string create_name = pick ? pick->scheduler : name;
+      const ParamMap run_params =
+          pick ? merge_run_params(params, pick->params) : params;
       if (pick) {
         std::cout << tuning::describe_selection(
                          *pick, service_auto_algorithm(graph), requested)
@@ -197,13 +208,14 @@ int run_service_mode(const ArgParser& args) {
       ServiceRow best;
       for (int rep = 0; rep < reps; ++rep) {
         std::unique_ptr<QueryService> service =
-            make_service(create_name, threads, params, graph, opts);
+            make_service(create_name, threads, run_params, graph, opts);
         const DriveResult drive = drive_service(*service, queries, qps, seed);
         service->stop();
         ServiceRow row;
         row.scheduler = name;
         if (pick) {
-          row.preset = pick->preset;
+          row.preset = pick->scheduler;
+          row.preset_params = pick->params;
           row.auto_match = std::string(tuning::to_string(pick->match));
           row.auto_why = pick->why;
         }
@@ -257,7 +269,7 @@ int run(int argc, char** argv) {
            "registered scheduler, algorithm,\ngraph source and figure suite "
            "with its tunables. `--suite NAME` runs one of\nthe paper's "
            "figure sweeps through the same runner as `--sched`: the suite\n"
-           "pins its scheduler presets and per-run params, which win over "
+           "pins its scheduler keys and per-run params, which win over "
            "CLI tunables;\n--threads, --reps, --graph, --algo and graph "
            "tunables still apply. "
            "`--batch-size N` sets the tasks per scheduler\ncall (default 1); "
@@ -272,7 +284,7 @@ int run(int argc, char** argv) {
            "`--sched auto` picks, per thread count, the compiled-in row for "
            "this (graph\nclass, algorithm) with the largest min_threads <= "
            "threads, or `smq` when\nno row matches (`--list` prints the "
-           "rows); every row reports the chosen\npreset and why.\n\n"
+           "rows); every row reports the chosen\nkey, its params and why.\n\n"
            "`--service` runs point-to-point queries through a persistent "
            "worker-pool\nservice instead of one spawn/join run per row: "
            "`--queries N` random (s,t)\npairs (seeded by --query-seed) are "
